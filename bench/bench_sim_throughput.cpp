@@ -1,13 +1,13 @@
 // Host wall-clock throughput of the functional simulator: the
-// optimized hot path (persistent CPE worker pool + bulk span bus
-// transfers + register-blocked local GEMM) against the pre-optimization
-// baseline (thread spawn per launch + per-Vec4 bus loop + naive
+// optimized hot path (CPE fibers on the launching thread + bulk span
+// bus transfers + register-blocked local GEMM) against the reference
+// (thread spawn per CPE per launch + per-Vec4 bus loop + naive
 // microkernel), on the same 64x64x256 mesh GEMM on the full 8x8 mesh.
 // Both configurations produce bitwise-identical outputs and identical
 // LaunchStats (sim_bulk_regcomm_test holds that invariant); only the
-// host time differs. Also reports an eager-vs-compiled model step on
-// the mesh backend, where every launch now reuses one pool. Results
-// land in BENCH_sim_throughput.json.
+// host time differs. Also reports a mesh-backend FC step, where every
+// launch reuses the layer's executor. Results land in
+// BENCH_sim_throughput.json.
 
 #include <cstdio>
 #include <cstring>
@@ -36,7 +36,7 @@ struct ModeResult {
   std::vector<double> out;
 };
 
-ModeResult run_mode(bool use_pool, conv::BusPathMode mode) {
+ModeResult run_mode(bool fibers, conv::BusPathMode mode) {
   util::Rng rng(42);
   std::vector<double> a(static_cast<std::size_t>(kK * kM));
   std::vector<double> b(static_cast<std::size_t>(kK * kN));
@@ -46,7 +46,7 @@ ModeResult run_mode(bool use_pool, conv::BusPathMode mode) {
   ModeResult r;
   r.out.resize(static_cast<std::size_t>(kM * kN));
   sim::MeshExecutor exec;  // full 8x8 mesh
-  exec.set_use_worker_pool(use_pool);
+  exec.set_use_fibers(fibers);
   conv::MeshGemmOptions options;
   options.bus_mode = mode;
 
@@ -73,15 +73,14 @@ struct FcResult {
 };
 
 /// A small training-shaped workload on the mesh backend: repeated FC
-/// forwards, each one a full mesh-GEMM launch. With the persistent
-/// executor inside the layer, every step after the first reuses the
-/// worker pool.
+/// forwards, each one a full mesh-GEMM launch on the layer's persistent
+/// executor.
 FcResult run_fc_steps(int steps) {
   util::Rng rng(9);
   dnn::FullyConnected fc(128, 64, rng, dnn::FcBackend::kSimulatedMesh);
   tensor::Tensor input({128, 8});
   rng.fill_uniform(input.data(), -1, 1);
-  fc.forward(input);  // warm-up: pool creation + plan
+  fc.forward(input);  // warm-up: executor, fiber stacks and plan
   util::Stopwatch watch;
   for (int s = 0; s < steps; ++s) fc.forward(input);
   FcResult r;
@@ -92,12 +91,11 @@ FcResult run_fc_steps(int steps) {
 }  // namespace
 
 int main() {
-  // Baseline = the seed implementation's host strategy; optimized = this
-  // PR's defaults.
+  // Baseline = the reference host strategy; optimized = the defaults.
   const ModeResult baseline =
-      run_mode(/*use_pool=*/false, conv::BusPathMode::kVec4Reference);
+      run_mode(/*fibers=*/false, conv::BusPathMode::kVec4Reference);
   const ModeResult optimized =
-      run_mode(/*use_pool=*/true, conv::BusPathMode::kBulkSpan);
+      run_mode(/*fibers=*/true, conv::BusPathMode::kBulkSpan);
 
   const bool outputs_identical =
       baseline.out.size() == optimized.out.size() &&
@@ -108,7 +106,11 @@ int main() {
       baseline.stats.total_flops == optimized.stats.total_flops &&
       baseline.stats.regcomm_messages == optimized.stats.regcomm_messages &&
       baseline.stats.dma.get_bytes == optimized.stats.dma.get_bytes &&
-      baseline.stats.dma.put_bytes == optimized.stats.dma.put_bytes;
+      baseline.stats.dma.put_bytes == optimized.stats.dma.put_bytes &&
+      baseline.stats.dma.requests == optimized.stats.dma.requests &&
+      baseline.stats.dma_seconds == optimized.stats.dma_seconds &&
+      baseline.stats.compute_seconds == optimized.stats.compute_seconds &&
+      baseline.stats.failed == optimized.stats.failed;
   const double speedup = optimized.seconds_per_launch > 0
                              ? baseline.seconds_per_launch /
                                    optimized.seconds_per_launch
@@ -124,8 +126,8 @@ int main() {
               baseline.seconds_per_launch * 1e3,
               baseline.launches_per_second,
               baseline.sim_gflops_per_host_second);
-  std::printf("optimized (pool + bulk spans + blocked kernel): "
-              "%8.3f ms/launch  %7.2f launches/s  %8.3f sim-Gflop/s per "
+  std::printf("optimized (fibers + bulk spans + blocked kernel): "
+              "%7.3f ms/launch  %7.2f launches/s  %8.3f sim-Gflop/s per "
               "host-s\n",
               optimized.seconds_per_launch * 1e3,
               optimized.launches_per_second,
@@ -134,7 +136,7 @@ int main() {
               "stats identical: %s\n",
               speedup, outputs_identical ? "yes" : "NO",
               stats_identical ? "yes" : "NO");
-  std::printf("mesh-backend FC step (pooled executor): %.3f ms/step\n",
+  std::printf("mesh-backend FC step (persistent executor): %.3f ms/step\n",
               fc.seconds_per_step * 1e3);
 
   const char* path = "BENCH_sim_throughput.json";

@@ -37,8 +37,10 @@ struct Handle {
   std::uint64_t host_fallbacks = 0;
   std::uint64_t dma_retries = 0;
   std::uint64_t plan_fallbacks = 0;
-  bool autotune = false;           // configuration-phase flag
-  bool autotune_measured = false;  // confirm winners with timed launches
+  // Configuration flags. Atomic because Network::compile sets them on a
+  // handle that other threads' compiles and steps may share.
+  std::atomic<bool> autotune{false};
+  std::atomic<bool> autotune_measured{false};  // confirm winners by timing
   std::uint64_t autotuned = 0;     // shapes tuned; guarded by mutex
 
   // Staging-tensor recycler: wrapped inputs, outputs, and the im2col
@@ -47,7 +49,8 @@ struct Handle {
   tensor::TensorPool pool;
 
   // Persistent executor for launches the handle issues directly (the
-  // backward-filter path); its worker pool survives across calls.
+  // backward-filter path); its mesh and fiber stacks survive across
+  // calls.
   // Launches serialize on bwd_exec_mutex; convolution_forward launches
   // go through `sw`, which owns its own executor.
   std::mutex bwd_exec_mutex;

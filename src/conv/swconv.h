@@ -147,8 +147,8 @@ class SwConvolution {
 
   // Threading: forward/execute_choice/plan_for/ranked_plans may run
   // concurrently from many threads on one SwConvolution (launches share
-  // one persistent MeshExecutor — its 64-thread worker pool is created
-  // once and reused — and serialize on an internal mutex; the plan
+  // one persistent MeshExecutor — its CPE fibers run on whichever thread
+  // launches — and serialize on an internal mutex; the plan
   // cache locks internally; the attached tracer/injector are themselves
   // thread-safe). The setters (set_fault_injector, set_retry_policy,
   // set_tracer) are configuration-phase calls and must not race with

@@ -83,8 +83,9 @@ class Convolution : public Layer {
   tensor::Tensor cached_input_;
   conv::SwConvolution sw_;
   /// Persistent executor for the backward-filter launches on the mesh
-  /// backend (created on first use; its worker pool is reused across
-  /// training steps). Layers are not called concurrently, so no lock.
+  /// backend (created on first use; its mesh and fiber stacks are reused
+  /// across training steps). Layers are not called concurrently, so no
+  /// lock.
   std::unique_ptr<sim::MeshExecutor> mesh_exec_;
 
   /// True when the compiled path can route this layer through the API

@@ -70,7 +70,7 @@ class FullyConnected : public Layer {
   tensor::Tensor cached_input_;        ///< flattened [in][B]
   std::vector<std::int64_t> in_dims_;  ///< original input dims
   /// Persistent executor for the mesh-GEMM backend (created on first
-  /// use; its worker pool is reused across training steps).
+  /// use; its mesh and fiber stacks are reused across training steps).
   std::unique_ptr<sim::MeshExecutor> mesh_exec_;
 
   BackendContext* context_ = nullptr;      // set by bind()

@@ -1,8 +1,7 @@
 #pragma once
 // Shared host parallel runtime.
 //
-// The simulated mesh got its worker pool in PR 4; this is the analogous
-// substrate for every *host-side* hot loop — packed GEMM panels,
+// The substrate for every *host-side* hot loop — packed GEMM panels,
 // im2col/col2im, the embarrassingly parallel dnn layer kernels, and
 // concurrent data-parallel replica stepping. One lazily-initialized,
 // process-wide pool serves them all, so nested parallel regions never

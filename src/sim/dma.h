@@ -9,7 +9,7 @@
 //
 // The engine itself only accounts; the data movement is performed by the
 // caller (CpeContext) so the functional path stays a plain memcpy. All
-// counters are atomics: 64 CPE threads record concurrently.
+// counters are atomics, so concurrent recorders need no lock.
 
 #include <atomic>
 #include <cstdint>
@@ -26,10 +26,10 @@ struct DmaTotals {
   std::uint64_t misaligned_requests = 0;
 };
 
-/// Per-CPE accounting shard. Each CPE thread owns one exclusively
-/// during a launch (plain fields, no atomics); the executor folds the
-/// shards into the shared engine once per launch, so 64 threads never
-/// contend on the engine's counters per transfer.
+/// Per-CPE accounting shard. Each CPE owns one exclusively during a
+/// launch (plain fields, no atomics); the executor folds the shards
+/// into the shared engine once per launch, so no transfer touches the
+/// engine's atomics.
 struct DmaShard {
   std::uint64_t get_bytes = 0;
   std::uint64_t put_bytes = 0;

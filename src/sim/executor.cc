@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <thread>
+#include <vector>
 
 namespace swdnn::sim {
 
@@ -279,7 +281,11 @@ void CpeContext::recv_col_span(std::span<double> out) {
 
 void CpeContext::sync() {
   trace_event(exec_, cell(), id(), "sync", "barrier", 1);
-  exec_.barrier_.arrive_and_wait();
+  if (std::barrier<>* barrier = exec_.spawned_barrier_) {
+    barrier->arrive_and_wait();
+  } else {
+    exec_.fibers_.sync();
+  }
 }
 
 void CpeContext::charge_flops(std::uint64_t flops) {
@@ -295,9 +301,10 @@ void CpeContext::charge_cycles(std::uint64_t cycles) {
 }
 
 MeshExecutor::MeshExecutor(const arch::Sw26010Spec& spec)
-    : spec_(spec), mesh_(spec_), dma_(spec_), barrier_(mesh_.num_cpes()) {}
-
-MeshExecutor::~MeshExecutor() { shutdown_pool(); }
+    : spec_(spec),
+      mesh_(spec_),
+      dma_(spec_),
+      fibers_(mesh_.rows(), mesh_.cols()) {}
 
 void MeshExecutor::prepare_launch() {
   mesh_.reset_for_launch();
@@ -332,62 +339,26 @@ void MeshExecutor::prepare_launch() {
 
 void MeshExecutor::execute_cell(const Kernel& kernel, int row, int col) {
   CpeContext ctx(*this, mesh_, dma_, row, col);
+  // A throwing CPE kernel cannot be unwound safely: peers may be blocked
+  // on the barrier or on transfer buffers this CPE feeds, and on the
+  // fiber path an exception must not leave the fiber's stack.
   try {
     kernel(ctx);
   } catch (const std::exception& e) {
-    // A throwing CPE kernel cannot be unwound safely: peers may be
-    // blocked on the barrier or on transfer buffers this CPE feeds.
     std::fprintf(stderr, "fatal: CPE(%d,%d) kernel threw: %s\n", row, col,
                  e.what());
+    std::abort();
+  } catch (...) {
+    std::fprintf(stderr,
+                 "fatal: CPE(%d,%d) kernel threw: a non-std::exception\n",
+                 row, col);
     std::abort();
   }
 }
 
-void MeshExecutor::worker_loop(int row, int col) {
-  std::uint64_t seen_generation = 0;
-  for (;;) {
-    const Kernel* kernel = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(pool_mutex_);
-      start_cv_.wait(lock, [&] {
-        return shutdown_ || generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      kernel = pending_;
-    }
-    execute_cell(*kernel, row, col);
-    {
-      std::lock_guard<std::mutex> lock(pool_mutex_);
-      if (++done_count_ == mesh_.num_cpes()) done_cv_.notify_all();
-    }
-  }
-}
-
-void MeshExecutor::run_on_pool(const Kernel& kernel) {
-  if (workers_.empty()) {
-    workers_.reserve(static_cast<std::size_t>(mesh_.num_cpes()));
-    for (int r = 0; r < mesh_.rows(); ++r) {
-      for (int c = 0; c < mesh_.cols(); ++c) {
-        workers_.emplace_back([this, r, c] { worker_loop(r, c); });
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    pending_ = &kernel;
-    done_count_ = 0;
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(pool_mutex_);
-    done_cv_.wait(lock, [&] { return done_count_ == mesh_.num_cpes(); });
-    pending_ = nullptr;
-  }
-}
-
 void MeshExecutor::run_spawned(const Kernel& kernel) {
+  std::barrier<> barrier(mesh_.num_cpes());
+  spawned_barrier_ = &barrier;
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(mesh_.num_cpes()));
   for (int r = 0; r < mesh_.rows(); ++r) {
@@ -397,17 +368,7 @@ void MeshExecutor::run_spawned(const Kernel& kernel) {
     }
   }
   for (auto& t : threads) t.join();
-}
-
-void MeshExecutor::shutdown_pool() {
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& t : workers_) t.join();
-  workers_.clear();
-  shutdown_ = false;
+  spawned_barrier_ = nullptr;
 }
 
 LaunchStats MeshExecutor::run(const Kernel& kernel) {
@@ -415,8 +376,10 @@ LaunchStats MeshExecutor::run(const Kernel& kernel) {
   const std::uint64_t faults_before =
       injector_ != nullptr ? injector_->total_events() : 0;
 
-  if (use_pool_) {
-    run_on_pool(kernel);
+  if (use_fibers_) {
+    fibers_.run([this, &kernel](int id) {
+      execute_cell(kernel, id / mesh_.cols(), id % mesh_.cols());
+    });
   } else {
     run_spawned(kernel);
   }

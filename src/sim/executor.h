@@ -1,10 +1,10 @@
 #pragma once
 // SPMD kernel launcher for the simulated CPE mesh.
 //
-// A "kernel" is a callable executed once per CPE, each on its own host
-// thread — the same single-program-multiple-data shape as real athread
-// kernels on SW26010. The CpeContext a kernel receives exposes exactly
-// the machine resources the paper's kernels use:
+// A "kernel" is a callable executed once per CPE — the same
+// single-program-multiple-data shape as real athread kernels on
+// SW26010. The CpeContext a kernel receives exposes exactly the machine
+// resources the paper's kernels use:
 //
 //   * its mesh coordinates,
 //   * its private LDM (capacity-enforced),
@@ -16,32 +16,30 @@
 // Functional correctness never depends on the accounting; timing
 // counters only feed the statistics block returned by run().
 //
-// Host execution strategy: the executor owns a persistent CpeWorkerPool
-// — one host thread per CPE, created on the first launch and kept for
-// the executor's lifetime. Launches are dispatched to the pool through
-// a generation-counted start/finish protocol, and the mesh, DMA engine,
-// and LDM arenas are reset in place between launches instead of being
-// reconstructed. Modeled observables (cycles, flops, message counts,
-// DMA totals, traces, fault decisions) are charged exactly as before:
-// cycle accounting is decoupled from how the host happens to schedule
-// the simulation. set_use_worker_pool(false) selects the legacy
-// spawn-64-threads-per-launch strategy, kept as the reference the
+// Host execution strategy: each launch runs its CPE kernels as fibers
+// on the calling thread, in CPE-id order (sim/fiber.h). A CPE gives up
+// the thread only where it must wait — at sync(), at a Get on an empty
+// bus, at a Vec4 Put on a full one — so a launch makes no OS context
+// switch. The mesh, DMA engine, LDM arenas and fiber stacks persist
+// across launches and are reset in place. Modeled observables (cycles,
+// flops, message counts, DMA totals, traces, fault decisions) are
+// charged, never measured, so they do not depend on how the host
+// schedules the simulation. set_use_fibers(false) selects the
+// spawn-a-thread-per-CPE-per-launch strategy, kept as the reference the
 // equivalence tests and the throughput bench compare against.
 
 #include <atomic>
 #include <barrier>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/arch/spec.h"
 #include "src/sim/dma.h"
 #include "src/sim/fault.h"
+#include "src/sim/fiber.h"
 #include "src/sim/mesh.h"
 #include "src/sim/trace.h"
 
@@ -116,7 +114,9 @@ class CpeContext {
   void recv_col_span(std::span<double> out);
 
   // --- Synchronization ---------------------------------------------------
-  /// Mesh-wide barrier.
+  /// Mesh-wide barrier. Every CPE of the launch must reach it: a launch
+  /// where one skips it can never finish, and the fiber path aborts
+  /// with a report of the blocked CPEs.
   void sync();
 
   // --- Timing hooks -------------------------------------------------------
@@ -194,7 +194,6 @@ class MeshExecutor {
   using Kernel = std::function<void(CpeContext&)>;
 
   explicit MeshExecutor(const arch::Sw26010Spec& spec = arch::default_spec());
-  ~MeshExecutor();
 
   MeshExecutor(const MeshExecutor&) = delete;
   MeshExecutor& operator=(const MeshExecutor&) = delete;
@@ -202,20 +201,21 @@ class MeshExecutor {
   /// Launches `kernel` once per CPE, waits for all to finish, and
   /// returns the aggregated statistics. Any exception escaping a kernel
   /// aborts the process with a diagnostic: a throwing kernel is a
-  /// programming error, and unwinding one thread of a mesh that others
-  /// are blocked on cannot be done safely. Not reentrant: one launch at
-  /// a time per executor (callers that share an executor across threads
-  /// serialize externally).
+  /// programming error, and unwinding one CPE of a mesh that others
+  /// are blocked on cannot be done safely. So does a launch that can
+  /// never finish (deadlock) on the fiber path. Not reentrant: one
+  /// launch at a time per executor (callers that share an executor
+  /// across threads serialize externally).
   LaunchStats run(const Kernel& kernel);
 
   const arch::Sw26010Spec& spec() const { return spec_; }
 
-  /// Selects the host execution strategy: the persistent worker pool
-  /// (default) or the legacy spawn-threads-per-launch path kept as the
-  /// reference. Both produce identical LaunchStats, outputs, traces,
-  /// and fault behavior.
-  void set_use_worker_pool(bool on) { use_pool_ = on; }
-  bool use_worker_pool() const { return use_pool_; }
+  /// Selects the host execution strategy: CPE fibers on the launching
+  /// thread (default), or one spawned thread per CPE per launch, kept
+  /// as the reference. Both produce identical LaunchStats, outputs,
+  /// traces, and fault behavior.
+  void set_use_fibers(bool on) { use_fibers_ = on; }
+  bool use_fibers() const { return use_fibers_; }
 
   /// Attaches an event tracer; every subsequent launch records its DMA,
   /// bus, and barrier events into it. Pass nullptr to detach. The
@@ -244,36 +244,22 @@ class MeshExecutor {
   /// Runs one CPE's kernel with the abort-on-throw contract.
   void execute_cell(const Kernel& kernel, int row, int col);
 
-  /// Dispatches the launch to the persistent pool (creating the workers
-  /// on first use) and blocks until every CPE finished.
-  void run_on_pool(const Kernel& kernel);
-
-  /// Legacy reference strategy: spawn + join one thread per CPE.
+  /// Reference strategy: spawn + join one thread per CPE, with a
+  /// barrier of its own.
   void run_spawned(const Kernel& kernel);
-
-  void worker_loop(int row, int col);
-  void shutdown_pool();
 
   arch::Sw26010Spec spec_;  // by value: callers may pass temporaries
   CpeMesh mesh_;            // persistent, reset in place per launch
   DmaEngine dma_;           // persistent, reset per launch
-  std::barrier<> barrier_;  // reusable across launches
+  FiberScheduler fibers_;   // default path: one fiber per CPE
+  std::barrier<>* spawned_barrier_ = nullptr;  // reference path's launch
   EventTracer* tracer_ = nullptr;
   FaultInjector* injector_ = nullptr;
   RetryPolicy retry_;
-  bool use_pool_ = true;
+  bool use_fibers_ = true;
 
-  // Persistent worker pool (generation-counted start/finish protocol).
-  std::vector<std::thread> workers_;
-  std::mutex pool_mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const Kernel* pending_ = nullptr;  // valid while a launch is in flight
-  std::uint64_t generation_ = 0;     // bumped once per pool launch
-  int done_count_ = 0;
-  bool shutdown_ = false;
-
-  // Per-launch failure latch (reset by run()).
+  // Per-launch failure latch (reset by run()). Atomic for the reference
+  // path's concurrent CPE threads.
   std::atomic<bool> failed_{false};
   std::atomic<bool> persistent_{false};
   std::atomic<std::uint64_t> dma_retries_{0};

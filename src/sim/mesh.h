@@ -11,10 +11,10 @@
 // Fig. 3).
 //
 // The timing counters are plain integers, not atomics: each cell is
-// written only by the CPE thread that owns it during a launch, and the
-// executor reads them only after the launch's completion handshake
-// (which synchronizes). This removes 64 threads' worth of contended
-// fetch_adds from the per-FMA-charge hot path.
+// written only by the CPE that owns it during a launch, and the
+// executor reads them only after the launch has finished (the CPE
+// fibers ran on the executor's own thread; the reference path joins its
+// threads first). The per-FMA-charge hot path touches no shared atomic.
 
 #include <cstdint>
 #include <memory>
@@ -30,8 +30,8 @@ namespace swdnn::sim {
 struct CpeCell {
   explicit CpeCell(const arch::Sw26010Spec& spec)
       : ldm(spec.ldm_bytes),
-        row_buffer(spec.transfer_buffer_slots),
-        col_buffer(spec.transfer_buffer_slots) {}
+        row_buffer(spec.transfer_buffer_slots, "row bus"),
+        col_buffer(spec.transfer_buffer_slots, "column bus") {}
 
   LdmAllocator ldm;
   TransferBuffer row_buffer;  ///< messages arriving over the row bus

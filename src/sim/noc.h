@@ -97,7 +97,7 @@ class NocSystem {
   double launch_overhead_seconds_;
   FaultInjector* injector_ = nullptr;
   /// Persistent executor shared by all CG launches (created on first
-  /// run_partitioned; its worker pool is reused across calls).
+  /// run_partitioned; its mesh and fiber stacks are reused across calls).
   std::unique_ptr<MeshExecutor> exec_;
 };
 

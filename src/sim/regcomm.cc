@@ -1,10 +1,41 @@
 #include "src/sim/regcomm.h"
 
+#include "src/sim/fiber.h"
+
 namespace swdnn::sim {
+
+bool TransferBuffer::has_message(const void* buffer, std::uint64_t) {
+  return static_cast<const TransferBuffer*>(buffer)->size() > 0;
+}
+
+bool TransferBuffer::has_room(const void* buffer, std::uint64_t) {
+  const auto* self = static_cast<const TransferBuffer*>(buffer);
+  return self->size() < self->capacity_;
+}
+
+void TransferBuffer::await(std::unique_lock<std::mutex>& lock,
+                           bool for_room) {
+  const auto ready = [this, for_room] {
+    return for_room ? queue_.size() < capacity_ : !queue_.empty();
+  };
+  FiberScheduler* fibers = FiberScheduler::current();
+  if (fibers == nullptr) {
+    (for_room ? not_full_ : not_empty_).wait(lock, ready);
+    return;
+  }
+  while (!ready()) {
+    lock.unlock();
+    fibers->park(FiberWait{for_room ? &has_room : &has_message, this, 0,
+                           for_room ? "waits for a free slot on the"
+                                    : "waits for a message on the",
+                           bus_});
+    lock.lock();
+  }
+}
 
 void TransferBuffer::put(const Vec4& value) {
   std::unique_lock<std::mutex> lock(mutex_);
-  not_full_.wait(lock, [this] { return queue_.size() < capacity_; });
+  await(lock, /*for_room=*/true);
   queue_.push_back(value);
   lock.unlock();
   not_empty_.notify_one();
@@ -12,7 +43,7 @@ void TransferBuffer::put(const Vec4& value) {
 
 Vec4 TransferBuffer::get() {
   std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait(lock, [this] { return !queue_.empty(); });
+  await(lock, /*for_room=*/false);
   Vec4 value = queue_.front();
   queue_.pop_front();
   lock.unlock();
@@ -40,7 +71,7 @@ void TransferBuffer::get_unpacked(std::span<double> out) {
   std::size_t off = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   while (off < out.size()) {
-    not_empty_.wait(lock, [this] { return !queue_.empty(); });
+    await(lock, /*for_room=*/false);
     while (!queue_.empty() && off < out.size()) {
       const Vec4 v = queue_.front();
       queue_.pop_front();

@@ -15,9 +15,8 @@
 // bus serializes, FIFO globally per buffer.
 //
 // Two access disciplines share the queue:
-//   * the Vec4 reference path (put/get) — one lock acquisition and one
-//     condition-variable round-trip per 256-bit message, back-pressured
-//     at the hardware buffer depth; and
+//   * the Vec4 reference path (put/get) — one lock acquisition per
+//     256-bit message, back-pressured at the hardware buffer depth; and
 //   * the bulk span path (put_packed/get_unpacked) — a whole tile's
 //     worth of messages moves under a single lock acquisition. Bulk
 //     puts deliberately ignore the slot capacity: blocking on a full
@@ -25,9 +24,14 @@
 //     charged for it), so batching past the depth changes no modeled
 //     observable while eliminating the dominant host cost of the bus.
 //     Cycle and message accounting stay per-Vec4 in the caller.
+//
+// Where a Get finds the queue empty (or a Vec4 Put finds it full), a CPE
+// running as a fiber parks in its FiberScheduler until the queue
+// changes; a plain thread waits on a condition variable.
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <span>
@@ -58,7 +62,10 @@ struct Vec4 {
 
 class TransferBuffer {
  public:
-  explicit TransferBuffer(std::size_t capacity) : capacity_(capacity) {}
+  /// `bus` names the buffer in deadlock reports, e.g. "row bus".
+  explicit TransferBuffer(std::size_t capacity,
+                          const char* bus = "transfer buffer")
+      : capacity_(capacity), bus_(bus) {}
 
   /// Blocking bounded push (sender side of a bus Put).
   void put(const Vec4& value);
@@ -86,7 +93,14 @@ class TransferBuffer {
   std::size_t capacity() const { return capacity_; }
 
  private:
+  /// Returns once a message is queued, or with `for_room` once a slot
+  /// is free; `lock` holds mutex_ on entry and on return.
+  void await(std::unique_lock<std::mutex>& lock, bool for_room);
+  static bool has_message(const void* buffer, std::uint64_t);
+  static bool has_room(const void* buffer, std::uint64_t);
+
   const std::size_t capacity_;
+  const char* const bus_;
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;

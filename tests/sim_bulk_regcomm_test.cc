@@ -1,19 +1,20 @@
 // Observable-equivalence regression tests for the simulator fast paths.
 //
-// The PR that introduced the persistent worker pool, the bulk span-level
-// bus primitives, and the register-blocked local GEMM promised one
-// invariant: *no modeled observable changes*. These tests hold it to
-// that — the same mesh GEMM is run through (worker pool + bulk spans +
-// blocked microkernel) and through (spawn-per-launch + Vec4 loop +
-// naive microkernel, i.e. the pre-optimization implementation kept as
-// the oracle), and the outputs must be bitwise identical while every
-// LaunchStats field must be exactly equal. Mesh sizes below 8x8 and
-// tile shapes that are not multiples of the Vec4 width or the 4x4
+// The simulator's fast paths — CPE fibers on the launching thread, the
+// bulk span-level bus primitives, and the register-blocked local GEMM —
+// promise one invariant: *no modeled observable changes*. These tests
+// hold them to that — the same mesh GEMM is run through (fibers + bulk
+// spans + blocked microkernel) and through (spawn-per-launch threads +
+// Vec4 loop + naive microkernel, the straightforward implementation
+// kept as the oracle), and the outputs must be bitwise identical while
+// every LaunchStats field must be exactly equal. Mesh sizes below 8x8
+// and tile shapes that are not multiples of the Vec4 width or the 4x4
 // register block exercise the padding/tail paths of both.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "src/conv/mesh_gemm_driver.h"
@@ -41,7 +42,7 @@ struct PathResult {
 };
 
 PathResult run_gemm(const arch::Sw26010Spec& spec, const GemmCase& c,
-                    bool use_pool, conv::BusPathMode mode, bool accumulate) {
+                    bool fibers, conv::BusPathMode mode, bool accumulate) {
   util::Rng rng(7);
   std::vector<double> a(static_cast<std::size_t>(c.k * c.m));
   std::vector<double> b(static_cast<std::size_t>(c.k * c.n));
@@ -57,7 +58,7 @@ PathResult run_gemm(const arch::Sw26010Spec& spec, const GemmCase& c,
     }
   }
   sim::MeshExecutor exec(spec);
-  exec.set_use_worker_pool(use_pool);
+  exec.set_use_fibers(fibers);
   conv::MeshGemmOptions options;
   options.accumulate = accumulate;
   options.bus_mode = mode;
@@ -82,6 +83,9 @@ void expect_identical(const PathResult& fast, const PathResult& ref) {
   EXPECT_EQ(fast.stats.dma_seconds, ref.stats.dma_seconds);
   EXPECT_EQ(fast.stats.compute_seconds, ref.stats.compute_seconds);
   EXPECT_EQ(fast.stats.failed, ref.stats.failed);
+  EXPECT_EQ(fast.stats.persistent_fault, ref.stats.persistent_fault);
+  EXPECT_EQ(fast.stats.failure, ref.stats.failure);
+  EXPECT_EQ(fast.stats.fault_events, ref.stats.fault_events);
   EXPECT_EQ(fast.stats.dma_retries, ref.stats.dma_retries);
 }
 
@@ -93,10 +97,10 @@ TEST_P(BulkRegcommEquivalence, BulkMatchesVec4ReferenceAcrossMeshSizes) {
     SCOPED_TRACE("mesh " + std::to_string(dim) + "x" + std::to_string(dim));
     const arch::Sw26010Spec spec = small_spec(dim);
     const PathResult fast =
-        run_gemm(spec, c, /*use_pool=*/true, conv::BusPathMode::kBulkSpan,
+        run_gemm(spec, c, /*fibers=*/true, conv::BusPathMode::kBulkSpan,
                  /*accumulate=*/false);
     const PathResult ref =
-        run_gemm(spec, c, /*use_pool=*/false,
+        run_gemm(spec, c, /*fibers=*/false,
                  conv::BusPathMode::kVec4Reference, /*accumulate=*/false);
     expect_identical(fast, ref);
   }
@@ -106,10 +110,10 @@ TEST_P(BulkRegcommEquivalence, AccumulateModeMatches) {
   const GemmCase c = GetParam();
   const arch::Sw26010Spec spec = small_spec(4);
   const PathResult fast =
-      run_gemm(spec, c, /*use_pool=*/true, conv::BusPathMode::kBulkSpan,
+      run_gemm(spec, c, /*fibers=*/true, conv::BusPathMode::kBulkSpan,
                /*accumulate=*/true);
   const PathResult ref =
-      run_gemm(spec, c, /*use_pool=*/false, conv::BusPathMode::kVec4Reference,
+      run_gemm(spec, c, /*fibers=*/false, conv::BusPathMode::kVec4Reference,
                /*accumulate=*/true);
   expect_identical(fast, ref);
 }
@@ -125,20 +129,55 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{17, 8, 23},    // mixed full blocks + tails
                       GemmCase{1, 64, 1}));   // degenerate rank-1 output
 
-TEST(BulkRegcommEquivalenceTest, PoolAloneChangesNothing) {
-  // Isolate the worker-pool variable: same bus path, pool on vs off.
+TEST(BulkRegcommEquivalenceTest, FibersAloneChangeNothing) {
+  // Isolate the host-strategy variable: same bus path, fibers vs
+  // spawned threads, on both bus paths (the Vec4 loop parks senders on
+  // full transfer buffers).
   const GemmCase c{13, 29, 11};
   const arch::Sw26010Spec spec = small_spec(4);
-  const PathResult pool = run_gemm(spec, c, /*use_pool=*/true,
-                                   conv::BusPathMode::kBulkSpan, false);
-  const PathResult spawn = run_gemm(spec, c, /*use_pool=*/false,
-                                    conv::BusPathMode::kBulkSpan, false);
-  expect_identical(pool, spawn);
+  for (const conv::BusPathMode mode :
+       {conv::BusPathMode::kBulkSpan, conv::BusPathMode::kVec4Reference}) {
+    const PathResult fibers = run_gemm(spec, c, /*fibers=*/true, mode, false);
+    const PathResult spawn = run_gemm(spec, c, /*fibers=*/false, mode, false);
+    expect_identical(fibers, spawn);
+  }
+}
+
+TEST(BulkRegcommEquivalenceTest, LaunchesFromTwoHostThreadsInTurnMatch) {
+  // One executor launched in turn from two host threads, as the task
+  // pool's lanes do with a shared handle: the fibers run on whichever
+  // thread launches, and the results must not depend on which.
+  const GemmCase c{17, 8, 23};
+  const arch::Sw26010Spec spec = small_spec(4);
+  util::Rng rng(7);
+  std::vector<double> a(static_cast<std::size_t>(c.k * c.m));
+  std::vector<double> b(static_cast<std::size_t>(c.k * c.n));
+  rng.fill_normal(a, 0.0, 1.0);
+  rng.fill_normal(b, 0.0, 1.0);
+  sim::MeshExecutor exec(spec);
+  std::vector<PathResult> results(4);
+  for (PathResult& r : results) {
+    r.out.resize(static_cast<std::size_t>(c.m * c.n));
+  }
+  // Two launches from each thread; joining the first thread before the
+  // second starts serializes the launches, as the executor requires.
+  for (std::size_t t = 0; t < 2; ++t) {
+    std::thread([&, t] {
+      for (std::size_t i = 2 * t; i < 2 * t + 2; ++i) {
+        PathResult& r = results[i];
+        r.stats = conv::mesh_gemm(exec, a, b, r.out, c.m, c.k, c.n);
+      }
+    }).join();
+  }
+  // run_gemm draws the same operands from the same seed.
+  const PathResult ref = run_gemm(spec, c, /*fibers=*/false,
+                                  conv::BusPathMode::kBulkSpan, false);
+  for (const PathResult& r : results) expect_identical(r, ref);
 }
 
 TEST(BulkRegcommEquivalenceTest, RepeatedLaunchesOnOneExecutorAreIdentical) {
   // The launch-boundary reset must leave no residue: the same GEMM on
-  // the same (pooled) executor must report identical stats every time.
+  // the same executor must report identical stats every time.
   const GemmCase c{16, 32, 16};
   util::Rng rng(11);
   std::vector<double> a(static_cast<std::size_t>(c.k * c.m));

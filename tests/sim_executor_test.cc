@@ -190,6 +190,70 @@ TEST(Executor, LdmIsPerCpe) {
   EXPECT_FALSE(overlap.load());
 }
 
+TEST(Executor, Vec4PutsPastTheBufferDepthWaitForTheReceiver) {
+  // A sender outruns the hardware buffer depth: on fibers it parks on
+  // the full buffer until the receiver drains it.
+  const arch::Sw26010Spec spec = mesh_spec(2);
+  MeshExecutor exec(spec);
+  const int messages = 4 * static_cast<int>(spec.transfer_buffer_slots) + 1;
+  std::vector<double> received;
+  exec.run([&](CpeContext& ctx) {
+    if (ctx.id() == 0) {
+      for (int i = 0; i < messages; ++i) {
+        ctx.put_row(1, Vec4::splat(static_cast<double>(i)));
+      }
+    } else if (ctx.id() == 1) {
+      for (int i = 0; i < messages; ++i) {
+        received.push_back(ctx.get_row().lane[0]);
+      }
+    }
+  });
+  ASSERT_EQ(received.size(), static_cast<std::size_t>(messages));
+  for (int i = 0; i < messages; ++i) {
+    EXPECT_EQ(received[static_cast<std::size_t>(i)], static_cast<double>(i));
+  }
+}
+
+TEST(ExecutorDeathTest, NonStdExceptionAbortsWithTheCpeDiagnostic) {
+  EXPECT_DEATH(
+      {
+        MeshExecutor exec(mesh_spec(2));
+        exec.run([](CpeContext& ctx) {
+          if (ctx.id() == 3) throw 42;
+        });
+      },
+      "fatal: CPE\\(1,1\\) kernel threw");
+}
+
+TEST(ExecutorDeathTest, SkippedSyncAbortsNamingTheBlockedCpes) {
+  EXPECT_DEATH(
+      {
+        MeshExecutor exec(mesh_spec(2));
+        exec.run([](CpeContext& ctx) {
+          if (ctx.id() != 2) ctx.sync();
+        });
+      },
+      "deadlock: 3 of 4 CPEs are blocked.*"
+      "CPE\\(0,0\\) waits at the barrier.*"
+      "CPE\\(0,1\\) waits at the barrier.*"
+      "CPE\\(1,1\\) waits at the barrier");
+}
+
+TEST(ExecutorDeathTest, GetFromAnUnfedBusAbortsNamingTheBus) {
+  EXPECT_DEATH(
+      {
+        MeshExecutor exec(mesh_spec(2));
+        exec.run([](CpeContext& ctx) {
+          std::vector<double> tile(8);
+          if (ctx.id() == 1) ctx.get_row();
+          if (ctx.id() == 2) ctx.recv_col_span(tile);
+        });
+      },
+      "deadlock: 2 of 4 CPEs are blocked.*"
+      "CPE\\(0,1\\) waits for a message on the row bus.*"
+      "CPE\\(1,0\\) waits for a message on the column bus");
+}
+
 TEST(LaunchStats, OverlapModel) {
   LaunchStats s;
   s.compute_seconds = 2.0;

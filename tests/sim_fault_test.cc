@@ -51,8 +51,9 @@ TEST(FaultSite, NamesAreDistinct) {
 
 TEST(FaultInjector, SameSeedReplaysIdenticalEventTrace) {
   // Two independent injectors with the same plan, driving the same
-  // workload over 64 concurrent CPE threads, must log exactly the same
-  // events — the determinism the replay tests depend on.
+  // workload once on CPE fibers and once on 16 concurrent CPE threads,
+  // must log exactly the same events — the determinism the replay tests
+  // depend on.
   FaultPlan plan;
   plan.seed = 12345;
   plan.dma_fault_rate = 0.4;
@@ -60,6 +61,7 @@ TEST(FaultInjector, SameSeedReplaysIdenticalEventTrace) {
   for (int run = 0; run < 2; ++run) {
     FaultInjector injector(plan);
     MeshExecutor exec(mesh_spec(4));
+    exec.set_use_fibers(run == 0);
     exec.set_fault_injector(&injector);
     exec.set_retry_policy({/*max_attempts=*/8, /*backoff_cycles=*/4});
     std::vector<double> global(16 * 32, 1.0), result(16 * 32);
@@ -320,7 +322,7 @@ TEST(RetryBackoff, DeepRetryLaddersRunWithoutOverflow) {
 // exactly like the Vec4 reference loop, so an identical campaign must
 // produce an identical event trace and identical stats on both paths.
 
-LaunchStats run_faulty_mesh_gemm(FaultInjector& injector, bool use_pool,
+LaunchStats run_faulty_mesh_gemm(FaultInjector& injector, bool fibers,
                                  conv::BusPathMode mode,
                                  std::vector<double>& out) {
   util::Rng rng(21);
@@ -331,7 +333,7 @@ LaunchStats run_faulty_mesh_gemm(FaultInjector& injector, bool use_pool,
   rng.fill_normal(b, 0.0, 1.0);
   out.assign(static_cast<std::size_t>(m * n), 0.0);
   MeshExecutor exec(mesh_spec(4));
-  exec.set_use_worker_pool(use_pool);
+  exec.set_use_fibers(fibers);
   exec.set_fault_injector(&injector);
   exec.set_retry_policy({/*max_attempts=*/4, /*backoff_cycles=*/8});
   conv::MeshGemmOptions options;
@@ -350,6 +352,24 @@ void expect_same_events(const std::vector<FaultEvent>& a,
   }
 }
 
+// Every LaunchStats field, exactly.
+void expect_same_stats(const LaunchStats& a, const LaunchStats& b) {
+  EXPECT_EQ(a.max_compute_cycles, b.max_compute_cycles);
+  EXPECT_EQ(a.total_flops, b.total_flops);
+  EXPECT_EQ(a.regcomm_messages, b.regcomm_messages);
+  EXPECT_EQ(a.dma.get_bytes, b.dma.get_bytes);
+  EXPECT_EQ(a.dma.put_bytes, b.dma.put_bytes);
+  EXPECT_EQ(a.dma.requests, b.dma.requests);
+  EXPECT_EQ(a.dma.misaligned_requests, b.dma.misaligned_requests);
+  EXPECT_EQ(a.dma_seconds, b.dma_seconds);
+  EXPECT_EQ(a.compute_seconds, b.compute_seconds);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.persistent_fault, b.persistent_fault);
+  EXPECT_EQ(a.failure, b.failure);
+  EXPECT_EQ(a.fault_events, b.fault_events);
+  EXPECT_EQ(a.dma_retries, b.dma_retries);
+}
+
 TEST(BulkPathFaults, StallCampaignIdenticalOnBulkAndReferencePaths) {
   FaultPlan plan;
   plan.seed = 99;
@@ -359,20 +379,18 @@ TEST(BulkPathFaults, StallCampaignIdenticalOnBulkAndReferencePaths) {
 
   std::vector<double> out_bulk, out_ref;
   const LaunchStats bulk = run_faulty_mesh_gemm(
-      injector, /*use_pool=*/true, conv::BusPathMode::kBulkSpan, out_bulk);
+      injector, /*fibers=*/true, conv::BusPathMode::kBulkSpan, out_bulk);
   const auto events_bulk = injector.events();
   injector.reset();  // replay the identical campaign on the oracle path
   const LaunchStats ref =
-      run_faulty_mesh_gemm(injector, /*use_pool=*/false,
+      run_faulty_mesh_gemm(injector, /*fibers=*/false,
                            conv::BusPathMode::kVec4Reference, out_ref);
   const auto events_ref = injector.events();
 
   ASSERT_GT(events_bulk.size(), 0u);
   expect_same_events(events_bulk, events_ref);
   EXPECT_EQ(out_bulk, out_ref);
-  EXPECT_EQ(bulk.max_compute_cycles, ref.max_compute_cycles);
-  EXPECT_EQ(bulk.regcomm_messages, ref.regcomm_messages);
-  EXPECT_EQ(bulk.fault_events, ref.fault_events);
+  expect_same_stats(bulk, ref);
 }
 
 TEST(BulkPathFaults, DmaAndLdmCampaignIdenticalOnBulkAndReferencePaths) {
@@ -385,22 +403,18 @@ TEST(BulkPathFaults, DmaAndLdmCampaignIdenticalOnBulkAndReferencePaths) {
 
   std::vector<double> out_bulk, out_ref;
   const LaunchStats bulk = run_faulty_mesh_gemm(
-      injector, /*use_pool=*/true, conv::BusPathMode::kBulkSpan, out_bulk);
+      injector, /*fibers=*/true, conv::BusPathMode::kBulkSpan, out_bulk);
   const auto events_bulk = injector.events();
   injector.reset();
   const LaunchStats ref =
-      run_faulty_mesh_gemm(injector, /*use_pool=*/false,
+      run_faulty_mesh_gemm(injector, /*fibers=*/false,
                            conv::BusPathMode::kVec4Reference, out_ref);
   const auto events_ref = injector.events();
 
   ASSERT_GT(events_bulk.size(), 0u);
   expect_same_events(events_bulk, events_ref);
   EXPECT_EQ(out_bulk, out_ref);
-  EXPECT_EQ(bulk.failed, ref.failed);
-  EXPECT_EQ(bulk.dma_retries, ref.dma_retries);
-  EXPECT_EQ(bulk.max_compute_cycles, ref.max_compute_cycles);
-  EXPECT_EQ(bulk.dma.misaligned_requests, ref.dma.misaligned_requests);
-  EXPECT_EQ(bulk.dma_seconds, ref.dma_seconds);
+  expect_same_stats(bulk, ref);
 }
 
 TEST(NocFaults, HealthyLinksStillRun) {
