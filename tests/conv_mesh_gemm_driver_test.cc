@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "src/conv/mesh_gemm_driver.h"
@@ -50,6 +51,10 @@ GemmCase gc(int mesh, std::int64_t m, std::int64_t k, std::int64_t n,
               std::to_string(k) + "n" + std::to_string(n) + "c" +
               std::to_string(k_chunk)};
 }
+
+// Without a printer gtest dumps the raw bytes, padding and heap address
+// included, into the discovered test names, so they changed every run.
+void PrintTo(const GemmCase& tc, std::ostream* os) { *os << tc.label; }
 
 class MeshGemmDriver : public ::testing::TestWithParam<GemmCase> {};
 
