@@ -1,7 +1,8 @@
 // Data-parallel training across simulated TaihuLight nodes: synchronous
-// SGD with ring all-reduced gradients, plus the communication budget a
-// real deployment would pay — the "scaling the training process" story
-// the paper's introduction opens with.
+// SGD with averaged gradients on the flat topology (one CG per node,
+// priced as a ring all-reduce), plus the communication budget a real
+// deployment would pay — the "scaling the training process" story the
+// paper's introduction opens with.
 //
 // Usage: data_parallel_training [--nodes=4] [--steps=30]
 
@@ -13,7 +14,7 @@
 #include "src/dnn/fully_connected.h"
 #include "src/dnn/pooling.h"
 #include "src/dnn/relu.h"
-#include "src/parallel/data_parallel.h"
+#include "src/parallel/hierarchical.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -42,7 +43,8 @@ int main(int argc, char** argv) {
     net->emplace<dnn::FullyConnected>(3 * 3 * 4, 4, rng);
     return net;
   };
-  parallel::DataParallelTrainer trainer(nodes, make_replica, 0.2, 0.9);
+  parallel::HierarchicalTrainer trainer(parallel::HierTopology::grid(nodes, 1),
+                                        make_replica, 0.2, 0.9);
 
   dnn::SyntheticBars data(8, 4, 0.05, 23);
   double last_loss = 0;

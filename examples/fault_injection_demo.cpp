@@ -10,8 +10,8 @@
 //      degrades the call to the host GEMM route,
 //
 // then kills one rank of a data-parallel training run mid-flight and
-// shows the survivors converging on the rebuilt ring, with the
-// Trainer's checkpoint/rollback absorbing a corrupted step.
+// shows the survivors converging on the reduction over live ranks, with
+// the Trainer's checkpoint/rollback absorbing a corrupted step.
 //
 // Usage: fault_injection_demo [--mesh=2|4|8]
 
@@ -26,7 +26,7 @@
 #include "src/dnn/fully_connected.h"
 #include "src/dnn/relu.h"
 #include "src/dnn/trainer.h"
-#include "src/parallel/data_parallel.h"
+#include "src/parallel/hierarchical.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 
@@ -139,7 +139,9 @@ int main(int argc, char** argv) {
   // 4. Self-healing data-parallel training: kill a rank mid-run.
   std::printf("\ndata-parallel training, 3 ranks, killing rank 1 at step "
               "5:\n");
-  swdnn::parallel::DataParallelTrainer dp(3, [] { return make_net(4); }, 0.3);
+  swdnn::parallel::HierarchicalTrainer dp(
+      swdnn::parallel::HierTopology::grid(3, 1), [] { return make_net(4); },
+      0.3);
   swdnn::dnn::SyntheticBars data(4, 3, 0.05, 68);
   for (int step = 0; step < 15; ++step) {
     if (step == 5) dp.kill_rank(1);

@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,7 +134,11 @@ const char* plan_algo_name(PlanAlgo algo) {
 
 Status create(Handle** handle, const arch::Sw26010Spec* spec) {
   if (handle == nullptr) return Status::kBadParam;
-  *handle = new Handle(spec ? *spec : arch::default_spec());
+  try {
+    *handle = new Handle(spec ? *spec : arch::default_spec());
+  } catch (const std::invalid_argument&) {
+    return Status::kBadParam;  // e.g. a mesh that is not at least 1x1
+  }
   return Status::kSuccess;
 }
 

@@ -80,7 +80,8 @@ struct FilterDescriptor {
 struct Handle;  // opaque
 
 /// Creates a handle. `spec` overrides the machine (nullptr = the real
-/// SW26010 numbers; tests pass reduced meshes).
+/// SW26010 numbers; tests pass reduced meshes). kBadParam when the
+/// spec's mesh is not at least 1x1.
 Status create(Handle** handle, const arch::Sw26010Spec* spec = nullptr);
 Status destroy(Handle* handle);
 

@@ -36,7 +36,12 @@ bool executable_on_mesh(const ConvShape& shape, const perf::ConvPlan& plan,
 }  // namespace
 
 SwConvolution::SwConvolution(const arch::Sw26010Spec& spec)
-    : spec_(spec), chooser_(spec) {}
+    : spec_(spec), chooser_(spec) {
+  if (spec.mesh_rows <= 0 || spec.mesh_cols <= 0) {
+    throw std::invalid_argument(
+        "SwConvolution: mesh_rows and mesh_cols must be positive");
+  }
+}
 
 sim::MeshExecutor& SwConvolution::shared_executor() const {
   if (exec_ == nullptr) {

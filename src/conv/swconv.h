@@ -34,6 +34,8 @@ struct ForwardResult {
 
 class SwConvolution {
  public:
+  /// Throws std::invalid_argument unless the spec's mesh is at least
+  /// 1x1.
   explicit SwConvolution(
       const arch::Sw26010Spec& spec = arch::default_spec());
 

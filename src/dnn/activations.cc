@@ -32,57 +32,7 @@ void elementwise2(std::span<const double> g, std::span<const double> y,
                           }
                         });
 }
-/// In-place activation over a view, caching y into `cache` (presized by
-/// plan(); resized defensively otherwise).
-template <typename Fn>
-void activate_inplace(tensor::TensorView& y, tensor::Tensor& cache, Fn fn) {
-  if (cache.size() != y.size()) cache = tensor::Tensor(y.dims());
-  auto v = y.data();
-  auto c = cache.data();
-  runtime::parallel_for(0, static_cast<std::int64_t>(v.size()), kElemGrain,
-                        [&](std::int64_t i0, std::int64_t i1) {
-                          for (std::int64_t i = i0; i < i1; ++i) {
-                            const auto s = static_cast<std::size_t>(i);
-                            const double out = fn(v[s]);
-                            c[s] = out;
-                            v[s] = out;
-                          }
-                        });
-}
-
-/// In-place gradient transform d = fn(d, y) over a view.
-template <typename Fn>
-void grad_inplace(tensor::TensorView& d, const tensor::Tensor& cache,
-                  Fn fn) {
-  auto g = d.data();
-  auto y = cache.data();
-  runtime::parallel_for(0, static_cast<std::int64_t>(g.size()), kElemGrain,
-                        [&](std::int64_t i0, std::int64_t i1) {
-                          for (std::int64_t i = i0; i < i1; ++i) {
-                            const auto s = static_cast<std::size_t>(i);
-                            g[s] = fn(g[s], y[s]);
-                          }
-                        });
-}
-
 }  // namespace
-
-tensor::Tensor Tanh::forward(const tensor::Tensor& input) {
-  cached_output_ = tensor::Tensor(input.dims());
-  elementwise(input.data(), cached_output_.data(),
-              [](double x) { return std::tanh(x); });
-  return cached_output_;
-}
-
-tensor::Tensor Tanh::backward(const tensor::Tensor& d_output) {
-  if (d_output.dims() != cached_output_.dims()) {
-    throw std::invalid_argument("Tanh::backward before forward");
-  }
-  tensor::Tensor d_input(d_output.dims());
-  elementwise2(d_output.data(), cached_output_.data(), d_input.data(),
-               [](double g, double y) { return g * (1.0 - y * y); });
-  return d_input;
-}
 
 void Tanh::plan(const std::vector<std::int64_t>& input_dims) {
   cached_output_ = tensor::Tensor(input_dims);
@@ -108,36 +58,6 @@ void Tanh::backward_view(const tensor::TensorView& d_output,
                [](double g, double y) { return g * (1.0 - y * y); });
 }
 
-void Tanh::epilogue_forward_inplace(tensor::TensorView& y) {
-  activate_inplace(y, cached_output_,
-                   [](double x) { return std::tanh(x); });
-}
-
-void Tanh::epilogue_backward_inplace(tensor::TensorView& d) {
-  if (d.size() != cached_output_.size()) {
-    throw std::invalid_argument("Tanh::epilogue_backward before forward");
-  }
-  grad_inplace(d, cached_output_,
-               [](double g, double y) { return g * (1.0 - y * y); });
-}
-
-tensor::Tensor Sigmoid::forward(const tensor::Tensor& input) {
-  cached_output_ = tensor::Tensor(input.dims());
-  elementwise(input.data(), cached_output_.data(),
-              [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
-  return cached_output_;
-}
-
-tensor::Tensor Sigmoid::backward(const tensor::Tensor& d_output) {
-  if (d_output.dims() != cached_output_.dims()) {
-    throw std::invalid_argument("Sigmoid::backward before forward");
-  }
-  tensor::Tensor d_input(d_output.dims());
-  elementwise2(d_output.data(), cached_output_.data(), d_input.data(),
-               [](double g, double y) { return g * y * (1.0 - y); });
-  return d_input;
-}
-
 void Sigmoid::plan(const std::vector<std::int64_t>& input_dims) {
   cached_output_ = tensor::Tensor(input_dims);
 }
@@ -159,19 +79,6 @@ void Sigmoid::backward_view(const tensor::TensorView& d_output,
     throw std::invalid_argument("Sigmoid::backward_view before forward_view");
   }
   elementwise2(d_output.data(), cached_output_.data(), d_input.data(),
-               [](double g, double y) { return g * y * (1.0 - y); });
-}
-
-void Sigmoid::epilogue_forward_inplace(tensor::TensorView& y) {
-  activate_inplace(y, cached_output_,
-                   [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
-}
-
-void Sigmoid::epilogue_backward_inplace(tensor::TensorView& d) {
-  if (d.size() != cached_output_.size()) {
-    throw std::invalid_argument("Sigmoid::epilogue_backward before forward");
-  }
-  grad_inplace(d, cached_output_,
                [](double g, double y) { return g * y * (1.0 - y); });
 }
 

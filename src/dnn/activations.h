@@ -6,9 +6,8 @@
 // Both cache the activation output (their backward needs only y), are
 // allocation-free on the compiled path once plan() has presized that
 // cache, and can ride a conv/FC node as a fused epilogue: the producer
-// computes the linear output in place and calls
-// epilogue_forward_inplace, which applies the nonlinearity with exactly
-// the arithmetic the unfused layer performs — fused output is
+// computes the linear output and runs forward_view over it in place —
+// the kernel the unfused layer runs, so fused output is
 // bitwise-identical.
 
 #include "src/dnn/layer.h"
@@ -18,8 +17,6 @@ namespace swdnn::dnn {
 class Tanh : public Layer {
  public:
   std::string name() const override { return "tanh"; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
 
   void plan(const std::vector<std::int64_t>& input_dims) override;
   void forward_view(const tensor::TensorView& input,
@@ -28,8 +25,6 @@ class Tanh : public Layer {
                      tensor::TensorView& d_input) override;
 
   bool is_fusible_epilogue() const override { return true; }
-  void epilogue_forward_inplace(tensor::TensorView& y) override;
-  void epilogue_backward_inplace(tensor::TensorView& d) override;
 
  private:
   tensor::Tensor cached_output_;
@@ -38,8 +33,6 @@ class Tanh : public Layer {
 class Sigmoid : public Layer {
  public:
   std::string name() const override { return "sigmoid"; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
 
   void plan(const std::vector<std::int64_t>& input_dims) override;
   void forward_view(const tensor::TensorView& input,
@@ -48,8 +41,6 @@ class Sigmoid : public Layer {
                      tensor::TensorView& d_input) override;
 
   bool is_fusible_epilogue() const override { return true; }
-  void epilogue_forward_inplace(tensor::TensorView& y) override;
-  void epilogue_backward_inplace(tensor::TensorView& d) override;
 
  private:
   tensor::Tensor cached_output_;

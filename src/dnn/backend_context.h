@@ -3,7 +3,7 @@
 //
 // One BackendContext wraps one swdnn::api Handle and is shared by every
 // conv/FC layer of a compiled Network (and across replicas of a
-// DataParallelTrainer): all heavy ops funnel through a single plan
+// HierarchicalTrainer): all heavy ops funnel through a single plan
 // cache, fault-retry/host-GEMM ladder, and event tracer, exactly the
 // way a framework integration would hold one library handle per
 // process. Fully-connected layers ride the same funnel by expressing
@@ -15,7 +15,7 @@
 // mutable state inside the handle is internally guarded). The
 // configuration calls (set_event_tracer, set_fault_plan,
 // set_retry_policy) must not race with in-flight execution: configure
-// first, then dispatch. DataParallelTrainer steps its replicas
+// first, then dispatch. HierarchicalTrainer steps its replicas
 // concurrently on the host task pool, which the execution wrappers'
 // concurrent-call guarantee covers; its configuration still happens
 // between steps, outside any dispatch.

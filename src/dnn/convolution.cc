@@ -11,6 +11,31 @@
 
 namespace swdnn::dnn {
 
+namespace {
+
+// output[ro][co][no][b] += bias[no] over the [Ro][Co][No][B] output.
+void add_bias(std::span<double> output, const tensor::Tensor& bias,
+              const conv::ConvShape& shape) {
+  std::size_t i = 0;
+  for (std::int64_t px = 0; px < shape.ro() * shape.co(); ++px)
+    for (std::int64_t no = 0; no < shape.no; ++no)
+      for (std::int64_t b = 0; b < shape.batch; ++b) output[i++] += bias.at(no);
+}
+
+// d_bias[no] = sum of d_output[ro][co][no][b], accumulated in (ro, co, b)
+// order.
+void bias_gradient(std::span<const double> d_output, tensor::Tensor& d_bias,
+                   const conv::ConvShape& shape) {
+  d_bias.zero();
+  std::size_t i = 0;
+  for (std::int64_t px = 0; px < shape.ro() * shape.co(); ++px)
+    for (std::int64_t no = 0; no < shape.no; ++no)
+      for (std::int64_t b = 0; b < shape.batch; ++b)
+        d_bias.at(no) += d_output[i++];
+}
+
+}  // namespace
+
 Convolution::Convolution(const conv::ConvShape& shape, util::Rng& rng,
                          ConvBackend backend, bool with_bias)
     : shape_(shape),
@@ -40,25 +65,12 @@ tensor::Tensor Convolution::forward(const tensor::Tensor& input) {
   } else {
     sw_.forward(input, filter_, output, shape_);
   }
-  if (with_bias_) {
-    for (std::int64_t ro = 0; ro < shape_.ro(); ++ro)
-      for (std::int64_t co = 0; co < shape_.co(); ++co)
-        for (std::int64_t no = 0; no < shape_.no; ++no)
-          for (std::int64_t b = 0; b < shape_.batch; ++b)
-            output.at(ro, co, no, b) += bias_.at(no);
-  }
+  if (with_bias_) add_bias(output.data(), bias_, shape_);
   return output;
 }
 
 tensor::Tensor Convolution::backward(const tensor::Tensor& d_output) {
-  if (with_bias_) {
-    d_bias_.zero();
-    for (std::int64_t ro = 0; ro < shape_.ro(); ++ro)
-      for (std::int64_t co = 0; co < shape_.co(); ++co)
-        for (std::int64_t no = 0; no < shape_.no; ++no)
-          for (std::int64_t b = 0; b < shape_.batch; ++b)
-            d_bias_.at(no) += d_output.at(ro, co, no, b);
-  }
+  if (with_bias_) bias_gradient(d_output.data(), d_bias_, shape_);
   tensor::Tensor d_input = conv::make_input(shape_);
   if (backend_ == ConvBackend::kSimulatedMesh) {
     // Training on the simulated machine end to end: backward-data runs
@@ -129,19 +141,13 @@ void Convolution::plan(const std::vector<std::int64_t>& input_dims) {
 void Convolution::forward_view(const tensor::TensorView& input,
                                tensor::TensorView& output) {
   if (!use_api() || backend_ == ConvBackend::kHostIm2col) {
-    Layer::forward_view(input, output);  // eager kernels, bitwise twin
+    output.copy_from(forward(input.to_tensor()));  // direct route
     return;
   }
   input_view_ = input;  // liveness: the planner pins it to our backward
   context_->conv_forward(shape_, input.data().data(), filter_.data().data(),
                          output.data().data());
-  if (with_bias_) {
-    for (std::int64_t ro = 0; ro < shape_.ro(); ++ro)
-      for (std::int64_t co = 0; co < shape_.co(); ++co)
-        for (std::int64_t no = 0; no < shape_.no; ++no)
-          for (std::int64_t b = 0; b < shape_.batch; ++b)
-            output.at(ro, co, no, b) += bias_.at(no);
-  }
+  if (with_bias_) add_bias(output.data(), bias_, shape_);
 }
 
 void Convolution::forward_view_fused(const tensor::TensorView& input,
@@ -165,7 +171,7 @@ void Convolution::forward_view_fused(const tensor::TensorView& input,
         with_bias_ ? bias_.data().data() : nullptr, mask};
     conv::apply_epilogue(host_out_.data().data(), shape_, ep);
     output.copy_from(host_out_);
-    if (mask == nullptr) epilogue.epilogue_forward_inplace(output);
+    if (mask == nullptr) epilogue.forward_view(output, output);
     return;
   }
   input_view_ = input;  // liveness: the planner pins it to our backward
@@ -173,7 +179,7 @@ void Convolution::forward_view_fused(const tensor::TensorView& input,
                                filter_.data().data(), output.data().data(),
                                with_bias_ ? bias_.data().data() : nullptr,
                                mask);
-  if (mask == nullptr) epilogue.epilogue_forward_inplace(output);
+  if (mask == nullptr) epilogue.forward_view(output, output);
 }
 
 void Convolution::backward_view_fused(tensor::TensorView& d_output,
@@ -181,15 +187,8 @@ void Convolution::backward_view_fused(tensor::TensorView& d_output,
                                       Layer& epilogue) {
   // dLoss/dEpilogueOut -> dLoss/dConvOut in place; that gradient value
   // is dead after this node's backward, so the clobber is safe.
-  epilogue.epilogue_backward_inplace(d_output);
-  if (with_bias_) {
-    d_bias_.zero();
-    for (std::int64_t ro = 0; ro < shape_.ro(); ++ro)
-      for (std::int64_t co = 0; co < shape_.co(); ++co)
-        for (std::int64_t no = 0; no < shape_.no; ++no)
-          for (std::int64_t b = 0; b < shape_.batch; ++b)
-            d_bias_.at(no) += d_output.at(ro, co, no, b);
-  }
+  epilogue.backward_view(d_output, d_output);
+  if (with_bias_) bias_gradient(d_output.data(), d_bias_, shape_);
   if (backend_ == ConvBackend::kHostIm2col) {
     // Host-backend gradients stay on the eager im2col kernels (route
     // fidelity; see forward_view). host_in_ still holds this step's
@@ -216,17 +215,10 @@ void Convolution::backward_view_fused(tensor::TensorView& d_output,
 void Convolution::backward_view(const tensor::TensorView& d_output,
                                 tensor::TensorView& d_input) {
   if (!use_api() || backend_ == ConvBackend::kHostIm2col) {
-    Layer::backward_view(d_output, d_input);  // eager kernels
+    d_input.copy_from(backward(d_output.to_tensor()));  // direct route
     return;
   }
-  if (with_bias_) {
-    d_bias_.zero();
-    for (std::int64_t ro = 0; ro < shape_.ro(); ++ro)
-      for (std::int64_t co = 0; co < shape_.co(); ++co)
-        for (std::int64_t no = 0; no < shape_.no; ++no)
-          for (std::int64_t b = 0; b < shape_.batch; ++b)
-            d_bias_.at(no) += d_output.at(ro, co, no, b);
-  }
+  if (with_bias_) bias_gradient(d_output.data(), d_bias_, shape_);
   context_->conv_backward_filter(shape_, input_view_.data().data(),
                                  d_output.data().data(),
                                  d_filter_.data().data());

@@ -41,8 +41,9 @@ class Convolution : public Layer {
   // BackendContext handle (plan cache + fault ladder + tracer) instead
   // of calling conv:: backends directly; the arena keeps this layer's
   // input alive until its backward step, so no copy-cache is taken.
-  // Strided shapes sit outside the API's configuration space and keep
-  // the eager kernels via the default view adapters.
+  // Strided shapes sit outside the API's configuration space, and a
+  // kHostIm2col layer keeps its route: both run the eager forward/
+  // backward (the direct reference route) over the views.
   std::vector<std::int64_t> infer_shape(
       const std::vector<std::int64_t>& input_dims) override;
   bool backward_needs_input() const override { return true; }

@@ -31,26 +31,6 @@ Dropout::Dropout(double drop_probability, std::uint64_t seed)
   }
 }
 
-tensor::Tensor Dropout::forward(const tensor::Tensor& input) {
-  tensor::Tensor out(input.dims());
-  mask_ = tensor::Tensor(input.dims());
-  auto in = input.data();
-  auto m = mask_.data();
-  auto o = out.data();
-  if (!training_ || drop_probability_ == 0.0) {
-    mask_.fill(1.0);
-    std::copy(in.begin(), in.end(), o.begin());
-    return out;
-  }
-  const double keep_scale = 1.0 / (1.0 - drop_probability_);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const bool keep = rng_.uniform(0.0, 1.0) >= drop_probability_;
-    m[i] = keep ? keep_scale : 0.0;
-  }
-  apply_mask(in, m, o);
-  return out;
-}
-
 void Dropout::plan(const std::vector<std::int64_t>& input_dims) {
   mask_ = tensor::Tensor(input_dims);
 }
@@ -80,15 +60,6 @@ void Dropout::backward_view(const tensor::TensorView& d_output,
     throw std::invalid_argument("Dropout::backward_view before forward_view");
   }
   apply_mask(d_output.data(), mask_.data(), d_input.data());
-}
-
-tensor::Tensor Dropout::backward(const tensor::Tensor& d_output) {
-  if (d_output.dims() != mask_.dims()) {
-    throw std::invalid_argument("Dropout::backward before forward");
-  }
-  tensor::Tensor d_input(d_output.dims());
-  apply_mask(d_output.data(), mask_.data(), d_input.data());
-  return d_input;
 }
 
 }  // namespace swdnn::dnn

@@ -13,17 +13,14 @@ class Dropout : public Layer {
   Dropout(double drop_probability, std::uint64_t seed);
 
   std::string name() const override { return "dropout"; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
 
   void set_training(bool training) { training_ = training; }
   bool training() const { return training_; }
   void set_mode(bool training) override { training_ = training; }
 
-  // Compiled path: the mask is presized at plan() time and the RNG is
-  // consumed exactly as in the eager path (one draw per element in
-  // train mode), so compiled and eager runs from equal seeds see the
-  // same random stream.
+  // The mask is presized at plan() time. The RNG is consumed one draw
+  // per element in train mode, on the eager and compiled paths alike,
+  // so runs from equal seeds see the same random stream.
   void plan(const std::vector<std::int64_t>& input_dims) override;
   void forward_view(const tensor::TensorView& input,
                     tensor::TensorView& output) override;

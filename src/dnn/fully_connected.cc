@@ -19,6 +19,29 @@ tensor::Tensor flatten_to_2d(const tensor::Tensor& t) {
   std::copy(t.data().begin(), t.data().end(), out.data().begin());
   return out;
 }
+
+// dst[c][r] = src[r][c] for a row-major [rows][cols] src: the [out][in]
+// weights to the API's [in][out] filter layout, and the gradient back.
+void transpose(std::span<const double> src, std::span<double> dst,
+               std::int64_t rows, std::int64_t cols) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      dst[static_cast<std::size_t>(c * rows + r)] =
+          src[static_cast<std::size_t>(r * cols + c)];
+    }
+  }
+}
+
+// db[o] = sum_b dOut[o][b], accumulated in the eager loop's order.
+void bias_gradient(std::span<const double> d_output, tensor::Tensor& d_bias,
+                   std::int64_t batch) {
+  d_bias.zero();
+  for (std::int64_t o = 0; o < d_bias.size(); ++o) {
+    for (std::int64_t b = 0; b < batch; ++b) {
+      d_bias.at(o) += d_output[static_cast<std::size_t>(o * batch + b)];
+    }
+  }
+}
 }  // namespace
 
 FullyConnected::FullyConnected(std::int64_t in_features,
@@ -52,12 +75,7 @@ tensor::Tensor FullyConnected::forward(const tensor::Tensor& input) {
     // i.e. transposed from storage.
     std::vector<double> w_t(
         static_cast<std::size_t>(in_features_ * out_features_));
-    for (std::int64_t o = 0; o < out_features_; ++o) {
-      for (std::int64_t i = 0; i < in_features_; ++i) {
-        w_t[static_cast<std::size_t>(i * out_features_ + o)] =
-            weights_.at(o, i);
-      }
-    }
+    transpose(weights_.data(), w_t, out_features_, in_features_);
     if (mesh_exec_ == nullptr) {
       mesh_exec_ = std::make_unique<sim::MeshExecutor>();
     }
@@ -155,19 +173,14 @@ void FullyConnected::plan(const std::vector<std::int64_t>& input_dims) {
 void FullyConnected::forward_view(const tensor::TensorView& input,
                                   tensor::TensorView& output) {
   if (context_ == nullptr) {
-    Layer::forward_view(input, output);
+    output.copy_from(forward(input.to_tensor()));  // direct route
     return;
   }
   input_view_ = input;  // liveness: the planner pins it to our backward
   // Filter layout at the API boundary is [1][1][in][out]: the
   // transpose of the [out][in] storage, restaged whenever the
   // optimizer may have stepped the weights (i.e. every forward).
-  for (std::int64_t o = 0; o < out_features_; ++o) {
-    for (std::int64_t i = 0; i < in_features_; ++i) {
-      w_t_[static_cast<std::size_t>(i * out_features_ + o)] =
-          weights_.at(o, i);
-    }
-  }
+  transpose(weights_.data(), w_t_, out_features_, in_features_);
   context_->conv_forward(api_shape_, input.data().data(), w_t_.data(),
                          output.data().data());
   const std::int64_t batch = api_shape_.batch;
@@ -180,39 +193,23 @@ void FullyConnected::forward_view_fused(const tensor::TensorView& input,
                                         tensor::TensorView& output,
                                         Layer& epilogue) {
   input_view_ = input;  // liveness: the planner pins it to our backward
-  for (std::int64_t o = 0; o < out_features_; ++o) {
-    for (std::int64_t i = 0; i < in_features_; ++i) {
-      w_t_[static_cast<std::size_t>(i * out_features_ + o)] =
-          weights_.at(o, i);
-    }
-  }
+  transpose(weights_.data(), w_t_, out_features_, in_features_);
   double* mask = epilogue.epilogue_mask_data();
   context_->conv_forward_fused(api_shape_, input.data().data(), w_t_.data(),
                                output.data().data(), bias_.data().data(),
                                mask);
-  if (mask == nullptr) epilogue.epilogue_forward_inplace(output);
+  if (mask == nullptr) epilogue.forward_view(output, output);
 }
 
 void FullyConnected::backward_view_fused(tensor::TensorView& d_output,
                                          tensor::TensorView& d_input,
                                          Layer& epilogue) {
   // dLoss/dActOut -> dLoss/dLinearOut in place; dead after this node.
-  epilogue.epilogue_backward_inplace(d_output);
-  const std::int64_t batch = api_shape_.batch;
-  d_bias_.zero();
-  for (std::int64_t o = 0; o < out_features_; ++o) {
-    for (std::int64_t b = 0; b < batch; ++b) {
-      d_bias_.at(o) += d_output.at(o, b);
-    }
-  }
+  epilogue.backward_view(d_output, d_output);
+  bias_gradient(d_output.data(), d_bias_, api_shape_.batch);
   context_->conv_backward_filter(api_shape_, input_view_.data().data(),
                                  d_output.data().data(), dw_t_.data());
-  for (std::int64_t o = 0; o < out_features_; ++o) {
-    for (std::int64_t i = 0; i < in_features_; ++i) {
-      d_weights_.at(o, i) =
-          dw_t_[static_cast<std::size_t>(i * out_features_ + o)];
-    }
-  }
+  transpose(dw_t_, d_weights_.data(), in_features_, out_features_);
   context_->conv_backward_data(api_shape_, w_t_.data(),
                                d_output.data().data(),
                                d_input.data().data());
@@ -221,27 +218,15 @@ void FullyConnected::backward_view_fused(tensor::TensorView& d_output,
 void FullyConnected::backward_view(const tensor::TensorView& d_output,
                                    tensor::TensorView& d_input) {
   if (context_ == nullptr) {
-    Layer::backward_view(d_output, d_input);
+    d_input.copy_from(backward(d_output.to_tensor()));  // direct route
     return;
   }
-  const std::int64_t batch = api_shape_.batch;
-  // db[o] = sum_b dOut[o][b], accumulated in the eager loop's order.
-  d_bias_.zero();
-  for (std::int64_t o = 0; o < out_features_; ++o) {
-    for (std::int64_t b = 0; b < batch; ++b) {
-      d_bias_.at(o) += d_output.at(o, b);
-    }
-  }
+  bias_gradient(d_output.data(), d_bias_, api_shape_.batch);
   // dW through the API's backward-filter: the result comes back in the
   // [1][1][in][out] filter layout and is transposed into [out][in].
   context_->conv_backward_filter(api_shape_, input_view_.data().data(),
                                  d_output.data().data(), dw_t_.data());
-  for (std::int64_t o = 0; o < out_features_; ++o) {
-    for (std::int64_t i = 0; i < in_features_; ++i) {
-      d_weights_.at(o, i) =
-          dw_t_[static_cast<std::size_t>(i * out_features_ + o)];
-    }
-  }
+  transpose(dw_t_, d_weights_.data(), in_features_, out_features_);
   // dx = W^T dOut through backward-data; the flat [in][B] result is the
   // row-major content of whatever rank the input view carries.
   context_->conv_backward_data(api_shape_, w_t_.data(),

@@ -4,34 +4,37 @@
 
 namespace swdnn::dnn {
 
+namespace {
+// The kernels never write through an input view.
+tensor::TensorView view_of(const tensor::Tensor& t) {
+  return tensor::TensorView(const_cast<double*>(t.data().data()), t.dims());
+}
+}  // namespace
+
+tensor::Tensor Layer::forward(const tensor::Tensor& input) {
+  tensor::Tensor output(infer_shape(input.dims()));
+  eager_input_dims_ = input.dims();
+  tensor::TensorView out = view_of(output);
+  forward_view(view_of(input), out);
+  return output;
+}
+
+tensor::Tensor Layer::backward(const tensor::Tensor& d_output) {
+  if (eager_input_dims_.empty()) {
+    throw std::invalid_argument(name() + ": backward before forward");
+  }
+  tensor::Tensor d_input(eager_input_dims_);
+  tensor::TensorView d_in = view_of(d_input);
+  backward_view(view_of(d_output), d_in);
+  return d_input;
+}
+
 std::vector<std::int64_t> Layer::infer_shape(
     const std::vector<std::int64_t>& input_dims) {
   if (input_dims.empty()) {
     throw std::invalid_argument(name() + ": empty input shape");
   }
   return input_dims;
-}
-
-void Layer::forward_view(const tensor::TensorView& input,
-                         tensor::TensorView& output) {
-  tensor::Tensor out = forward(input.to_tensor());
-  output.copy_from(out);
-}
-
-void Layer::backward_view(const tensor::TensorView& d_output,
-                          tensor::TensorView& d_input) {
-  tensor::Tensor din = backward(d_output.to_tensor());
-  d_input.copy_from(din);
-}
-
-void Layer::epilogue_forward_inplace(tensor::TensorView& y) {
-  (void)y;
-  throw std::logic_error(name() + ": not a fusible epilogue layer");
-}
-
-void Layer::epilogue_backward_inplace(tensor::TensorView& d) {
-  (void)d;
-  throw std::logic_error(name() + ": not a fusible epilogue layer");
 }
 
 void Layer::forward_view_fused(const tensor::TensorView& input,

@@ -7,15 +7,18 @@
 // the canonical [R][C][N][B]; classifier layers view activations as
 // [features][B] (the row-major flatten of the first three dims).
 //
-// Layers participate in two execution regimes:
-//   * Eager: forward(Tensor) / backward(Tensor), one fresh output tensor
-//     per call — the seed behaviour, kept as the differential baseline.
-//   * Compiled: Network::compile() drives infer_shape -> plan -> bind
+// Every layer has one kernel pair, forward_view/backward_view over
+// TensorViews, and two execution regimes run it:
+//   * Eager: forward(Tensor) / backward(Tensor) allocate one fresh
+//     result tensor per call and run the view kernel over it — the
+//     differential baseline the compiled path is compared against.
+//   * Compiled: Network::compile() drives infer_shape -> bind -> plan
 //     once, then steady-state steps call forward_view/backward_view on
-//     arena-backed TensorViews. The default view hooks adapt the eager
-//     implementations, so simple layers get the compiled path for free;
-//     heavy layers (conv, FC) override them to dispatch through the
-//     shared BackendContext and to run allocation-free.
+//     arena-backed TensorViews, allocation-free.
+// Convolution and FullyConnected are the exception: their eager
+// forward/backward keep the direct route (SwConvolution, im2col,
+// mesh_gemm) as the reference, and their views dispatch through the
+// shared BackendContext.
 
 #include <cstdint>
 #include <memory>
@@ -42,11 +45,17 @@ class Layer {
   virtual std::string name() const = 0;
 
   /// Computes the layer output; caches whatever backward() needs.
-  virtual tensor::Tensor forward(const tensor::Tensor& input) = 0;
+  /// Default: allocates the output (dims from infer_shape, so a bad
+  /// shape throws std::invalid_argument), records the input dims for
+  /// backward(), and runs forward_view.
+  virtual tensor::Tensor forward(const tensor::Tensor& input);
 
   /// Given dLoss/dOutput, accumulates parameter gradients (zeroed at
-  /// the start of each call) and returns dLoss/dInput.
-  virtual tensor::Tensor backward(const tensor::Tensor& d_output) = 0;
+  /// the start of each call) and returns dLoss/dInput. Default:
+  /// allocates dLoss/dInput with the last forward()'s input dims and
+  /// runs backward_view; throws std::invalid_argument before any
+  /// forward().
+  virtual tensor::Tensor backward(const tensor::Tensor& d_output);
 
   /// Trainable parameters (empty for activation/pooling layers).
   virtual std::vector<ParamGrad> params() { return {}; }
@@ -81,18 +90,19 @@ class Layer {
     (void)input_dims;
   }
 
-  // --- compiled execution -------------------------------------------
+  // --- kernels (both regimes) ---------------------------------------
 
-  /// Compiled forward: read `input`, write `output` (both arena views).
-  /// Default adapts the eager forward (copies in/out) so every layer is
-  /// compilable; overrides run in place without allocating.
+  /// Forward kernel: read `input`, write `output`. Resizes internal
+  /// caches when the input dims change. Elementwise kernels (the
+  /// fusible epilogues) also run in place, with `input` and `output`
+  /// the same view.
   virtual void forward_view(const tensor::TensorView& input,
-                            tensor::TensorView& output);
+                            tensor::TensorView& output) = 0;
 
-  /// Compiled backward: read `d_output`, write `d_input`, accumulate
-  /// parameter gradients. Default adapts the eager backward.
+  /// Backward kernel: read `d_output`, write `d_input`, accumulate
+  /// parameter gradients. Elementwise kernels also run in place.
   virtual void backward_view(const tensor::TensorView& d_output,
-                             tensor::TensorView& d_input);
+                             tensor::TensorView& d_input) = 0;
 
   // --- graph-fusion hooks -------------------------------------------
   //
@@ -112,18 +122,10 @@ class Layer {
 
   /// Mask-based epilogues (ReLU) expose their presized mask buffer so
   /// the producer's single backend dispatch can fill it in the same
-  /// pass. nullptr = the fused node runs epilogue_forward_inplace after
-  /// the linear call instead (tanh, sigmoid). Valid only after plan().
+  /// pass. nullptr = the fused node runs forward_view(y, y) in place
+  /// after the linear call instead (tanh, sigmoid). Valid only after
+  /// plan(). Either way the fused backward runs backward_view(d, d).
   virtual double* epilogue_mask_data() { return nullptr; }
-
-  /// Applies this epilogue in place over the producer's output view,
-  /// caching whatever backward needs. Only meaningful on
-  /// is_fusible_epilogue() layers; default throws.
-  virtual void epilogue_forward_inplace(tensor::TensorView& y);
-
-  /// In-place epilogue backward: transforms dLoss/dEpilogueOut into
-  /// dLoss/dLinearOut using the cached state. Default throws.
-  virtual void epilogue_backward_inplace(tensor::TensorView& d);
 
   /// True for zero-padding layers whose compiled output slot the graph
   /// compiler pins and fills by interior copy (borders zeroed once at
@@ -152,6 +154,9 @@ class Layer {
   virtual void backward_view_fused(tensor::TensorView& d_output,
                                    tensor::TensorView& d_input,
                                    Layer& epilogue);
+
+ private:
+  std::vector<std::int64_t> eager_input_dims_;  ///< last forward()'s input
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -15,17 +15,25 @@ Lrn::Lrn(std::int64_t size, double alpha, double beta, double k)
   }
 }
 
-tensor::Tensor Lrn::forward(const tensor::Tensor& input) {
-  if (input.rank() != 4) {
+std::vector<std::int64_t> Lrn::infer_shape(
+    const std::vector<std::int64_t>& input_dims) {
+  if (input_dims.size() != 4) {
     throw std::invalid_argument("Lrn: expects [R][C][N][B]");
   }
-  cached_input_ = input;
-  cached_scale_ = tensor::Tensor(input.dims());
-  tensor::Tensor out(input.dims());
+  return input_dims;
+}
+
+void Lrn::forward_view(const tensor::TensorView& input,
+                       tensor::TensorView& output) {
+  if (cached_input_.dims() != input.dims()) {
+    cached_input_ = tensor::Tensor(input.dims());
+    cached_scale_ = tensor::Tensor(input.dims());
+  }
+  input.copy_to(cached_input_);
   const std::int64_t rows = input.dim(0), cols = input.dim(1),
                      channels = input.dim(2), batch = input.dim(3);
   const std::int64_t half = size_ / 2;
-  // Row shards write disjoint (r, ...) slices of out/cached_scale_.
+  // Row shards write disjoint (r, ...) slices of output/cached_scale_.
   runtime::parallel_for(0, rows, 1, [&](std::int64_t r0, std::int64_t r1) {
   for (std::int64_t r = r0; r < r1; ++r)
     for (std::int64_t c = 0; c < cols; ++c)
@@ -42,21 +50,20 @@ tensor::Tensor Lrn::forward(const tensor::Tensor& input) {
           const double scale =
               k_ + alpha_ / static_cast<double>(size_) * sum;
           cached_scale_.at(r, c, ch, b) = scale;
-          out.at(r, c, ch, b) =
+          output.at(r, c, ch, b) =
               input.at(r, c, ch, b) * std::pow(scale, -beta_);
         }
   });
-  return out;
 }
 
-tensor::Tensor Lrn::backward(const tensor::Tensor& d_output) {
+void Lrn::backward_view(const tensor::TensorView& d_output,
+                        tensor::TensorView& d_input) {
   if (cached_input_.dims() != d_output.dims()) {
-    throw std::invalid_argument("Lrn::backward before forward");
+    throw std::invalid_argument("Lrn::backward_view before forward_view");
   }
   // dy[n]/dx[m] = delta(n,m)*scale[n]^-beta
   //             - 2*beta*alpha/size * x[n]*x[m]*scale[n]^{-beta-1}
   //               (for m in window(n)).
-  tensor::Tensor d_input(d_output.dims());
   const std::int64_t rows = d_output.dim(0), cols = d_output.dim(1),
                      channels = d_output.dim(2), batch = d_output.dim(3);
   const std::int64_t half = size_ / 2;
@@ -84,7 +91,6 @@ tensor::Tensor Lrn::backward(const tensor::Tensor& d_output) {
           d_input.at(r, c, m, b) = grad;
         }
   });
-  return d_input;
 }
 
 }  // namespace swdnn::dnn

@@ -13,8 +13,15 @@ class Lrn : public Layer {
                double beta = 0.75, double k = 2.0);
 
   std::string name() const override { return "lrn"; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
+  std::vector<std::int64_t> infer_shape(
+      const std::vector<std::int64_t>& input_dims) override;
+
+  // Backward reads the cached copy of the input, so the input itself
+  // dies after forward (backward_needs_input() stays false).
+  void forward_view(const tensor::TensorView& input,
+                    tensor::TensorView& output) override;
+  void backward_view(const tensor::TensorView& d_output,
+                     tensor::TensorView& d_input) override;
 
  private:
   std::int64_t size_;

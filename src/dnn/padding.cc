@@ -14,25 +14,6 @@ ZeroPad2d::ZeroPad2d(std::int64_t top, std::int64_t bottom, std::int64_t left,
   }
 }
 
-tensor::Tensor ZeroPad2d::forward(const tensor::Tensor& input) {
-  if (input.rank() != 4) {
-    throw std::invalid_argument("ZeroPad2d: expects [R][C][N][B]");
-  }
-  input_dims_ = input.dims();
-  tensor::Tensor out({input.dim(0) + top_ + bottom_,
-                      input.dim(1) + left_ + right_, input.dim(2),
-                      input.dim(3)});
-  runtime::parallel_for(
-      0, input.dim(0), 1, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r)
-          for (std::int64_t c = 0; c < input.dim(1); ++c)
-            for (std::int64_t n = 0; n < input.dim(2); ++n)
-              for (std::int64_t b = 0; b < input.dim(3); ++b)
-                out.at(r + top_, c + left_, n, b) = input.at(r, c, n, b);
-      });
-  return out;
-}
-
 std::vector<std::int64_t> ZeroPad2d::infer_shape(
     const std::vector<std::int64_t>& input_dims) {
   if (input_dims.size() != 4) {
@@ -57,7 +38,6 @@ void ZeroPad2d::copy_interior(const tensor::TensorView& input,
 
 void ZeroPad2d::forward_view(const tensor::TensorView& input,
                              tensor::TensorView& output) {
-  input_dims_ = input.dims();
   output.zero();
   copy_interior(input, output, top_, left_);
 }
@@ -66,7 +46,6 @@ void ZeroPad2d::forward_view_elided(const tensor::TensorView& input,
                                     tensor::TensorView& output) {
   // Borders were zeroed once at compile and the slot is pinned, so
   // only the interior needs refreshing per step.
-  input_dims_ = input.dims();
   copy_interior(input, output, top_, left_);
 }
 
@@ -81,23 +60,6 @@ void ZeroPad2d::backward_view(const tensor::TensorView& d_output,
                 d_input.at(r, c, n, b) =
                     d_output.at(r + top_, c + left_, n, b);
       });
-}
-
-tensor::Tensor ZeroPad2d::backward(const tensor::Tensor& d_output) {
-  if (input_dims_.empty()) {
-    throw std::invalid_argument("ZeroPad2d::backward before forward");
-  }
-  tensor::Tensor d_input(input_dims_);
-  runtime::parallel_for(
-      0, d_input.dim(0), 1, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r)
-          for (std::int64_t c = 0; c < d_input.dim(1); ++c)
-            for (std::int64_t n = 0; n < d_input.dim(2); ++n)
-              for (std::int64_t b = 0; b < d_input.dim(3); ++b)
-                d_input.at(r, c, n, b) =
-                    d_output.at(r + top_, c + left_, n, b);
-      });
-  return d_input;
 }
 
 }  // namespace swdnn::dnn

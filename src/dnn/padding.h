@@ -19,13 +19,11 @@ class ZeroPad2d : public Layer {
       : ZeroPad2d(all, all, all, all) {}
 
   std::string name() const override { return "zeropad"; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
   std::vector<std::int64_t> infer_shape(
       const std::vector<std::int64_t>& input_dims) override;
 
-  // Compiled path: allocation-free views (zero-fill + interior scatter
-  // forward, interior gather backward).
+  // Allocation-free views: zero-fill + interior scatter forward,
+  // interior gather backward.
   void forward_view(const tensor::TensorView& input,
                     tensor::TensorView& output) override;
   void backward_view(const tensor::TensorView& d_output,
@@ -46,7 +44,6 @@ class ZeroPad2d : public Layer {
                             std::int64_t left);
 
   std::int64_t top_, bottom_, left_, right_;
-  std::vector<std::int64_t> input_dims_;
 };
 
 }  // namespace swdnn::dnn

@@ -16,70 +16,6 @@ MaxPooling::MaxPooling(std::int64_t window) : window_(window) {
   if (window <= 0) throw std::invalid_argument("MaxPooling: window <= 0");
 }
 
-tensor::Tensor MaxPooling::forward(const tensor::Tensor& input) {
-  if (input.rank() != 4 || input.dim(0) % window_ != 0 ||
-      input.dim(1) % window_ != 0) {
-    throw std::invalid_argument(
-        "MaxPooling: expects [R][C][N][B] with R,C divisible by window");
-  }
-  input_dims_ = input.dims();
-  const std::int64_t r_out = input.dim(0) / window_;
-  const std::int64_t c_out = input.dim(1) / window_;
-  const std::int64_t n = input.dim(2);
-  const std::int64_t b = input.dim(3);
-  tensor::Tensor out({r_out, c_out, n, b});
-  argmax_r_ = tensor::Tensor({r_out, c_out, n, b});
-  argmax_c_ = tensor::Tensor({r_out, c_out, n, b});
-  runtime::parallel_for(0, r_out, 1, [&](std::int64_t rb, std::int64_t re) {
-  for (std::int64_t r = rb; r < re; ++r)
-    for (std::int64_t c = 0; c < c_out; ++c)
-      for (std::int64_t ch = 0; ch < n; ++ch)
-        for (std::int64_t bb = 0; bb < b; ++bb) {
-          double best = input.at(r * window_, c * window_, ch, bb);
-          std::int64_t br = 0, bc = 0;
-          for (std::int64_t dr = 0; dr < window_; ++dr)
-            for (std::int64_t dc = 0; dc < window_; ++dc) {
-              const double v =
-                  input.at(r * window_ + dr, c * window_ + dc, ch, bb);
-              if (v > best) {
-                best = v;
-                br = dr;
-                bc = dc;
-              }
-            }
-          out.at(r, c, ch, bb) = best;
-          argmax_r_.at(r, c, ch, bb) = static_cast<double>(br);
-          argmax_c_.at(r, c, ch, bb) = static_cast<double>(bc);
-        }
-  });
-  return out;
-}
-
-tensor::Tensor MaxPooling::backward(const tensor::Tensor& d_output) {
-  if (input_dims_.empty()) {
-    throw std::invalid_argument("MaxPooling::backward before forward");
-  }
-  tensor::Tensor d_input(input_dims_);
-  const std::int64_t r_out = d_output.dim(0);
-  const std::int64_t c_out = d_output.dim(1);
-  const std::int64_t n = d_output.dim(2);
-  const std::int64_t b = d_output.dim(3);
-  runtime::parallel_for(0, r_out, 1, [&](std::int64_t rb, std::int64_t re) {
-  for (std::int64_t r = rb; r < re; ++r)
-    for (std::int64_t c = 0; c < c_out; ++c)
-      for (std::int64_t ch = 0; ch < n; ++ch)
-        for (std::int64_t bb = 0; bb < b; ++bb) {
-          const auto dr =
-              static_cast<std::int64_t>(argmax_r_.at(r, c, ch, bb));
-          const auto dc =
-              static_cast<std::int64_t>(argmax_c_.at(r, c, ch, bb));
-          d_input.at(r * window_ + dr, c * window_ + dc, ch, bb) +=
-              d_output.at(r, c, ch, bb);
-        }
-  });
-  return d_input;
-}
-
 std::vector<std::int64_t> MaxPooling::infer_shape(
     const std::vector<std::int64_t>& input_dims) {
   if (input_dims.size() != 4 || input_dims[0] % window_ != 0 ||
@@ -93,13 +29,16 @@ std::vector<std::int64_t> MaxPooling::infer_shape(
 
 void MaxPooling::plan(const std::vector<std::int64_t>& input_dims) {
   const std::vector<std::int64_t> out_dims = infer_shape(input_dims);
-  input_dims_ = input_dims;
   argmax_r_ = tensor::Tensor(out_dims);
   argmax_c_ = tensor::Tensor(out_dims);
 }
 
 void MaxPooling::forward_view(const tensor::TensorView& input,
                               tensor::TensorView& output) {
+  if (argmax_r_.dims() != output.dims()) {
+    argmax_r_ = tensor::Tensor(output.dims());
+    argmax_c_ = tensor::Tensor(output.dims());
+  }
   const std::int64_t r_out = output.dim(0);
   const std::int64_t c_out = output.dim(1);
   const std::int64_t n = output.dim(2);
@@ -154,35 +93,6 @@ AvgPooling::AvgPooling(std::int64_t window) : window_(window) {
   if (window <= 0) throw std::invalid_argument("AvgPooling: window <= 0");
 }
 
-tensor::Tensor AvgPooling::forward(const tensor::Tensor& input) {
-  if (input.rank() != 4 || input.dim(0) % window_ != 0 ||
-      input.dim(1) % window_ != 0) {
-    throw std::invalid_argument(
-        "AvgPooling: expects [R][C][N][B] with R,C divisible by window");
-  }
-  input_dims_ = input.dims();
-  const std::int64_t r_out = input.dim(0) / window_;
-  const std::int64_t c_out = input.dim(1) / window_;
-  const std::int64_t n = input.dim(2);
-  const std::int64_t b = input.dim(3);
-  const double inv_area =
-      1.0 / static_cast<double>(window_ * window_);
-  tensor::Tensor out({r_out, c_out, n, b});
-  runtime::parallel_for(0, r_out, 1, [&](std::int64_t rb, std::int64_t re) {
-  for (std::int64_t r = rb; r < re; ++r)
-    for (std::int64_t c = 0; c < c_out; ++c)
-      for (std::int64_t ch = 0; ch < n; ++ch)
-        for (std::int64_t bb = 0; bb < b; ++bb) {
-          double sum = 0;
-          for (std::int64_t dr = 0; dr < window_; ++dr)
-            for (std::int64_t dc = 0; dc < window_; ++dc)
-              sum += input.at(r * window_ + dr, c * window_ + dc, ch, bb);
-          out.at(r, c, ch, bb) = sum * inv_area;
-        }
-  });
-  return out;
-}
-
 std::vector<std::int64_t> AvgPooling::infer_shape(
     const std::vector<std::int64_t>& input_dims) {
   if (input_dims.size() != 4 || input_dims[0] % window_ != 0 ||
@@ -192,11 +102,6 @@ std::vector<std::int64_t> AvgPooling::infer_shape(
   }
   return {input_dims[0] / window_, input_dims[1] / window_, input_dims[2],
           input_dims[3]};
-}
-
-void AvgPooling::plan(const std::vector<std::int64_t>& input_dims) {
-  (void)infer_shape(input_dims);  // revalidate
-  input_dims_ = input_dims;
 }
 
 void AvgPooling::forward_view(const tensor::TensorView& input,
@@ -232,27 +137,6 @@ void AvgPooling::backward_view(const tensor::TensorView& d_output,
               d_input.at(r * window_ + dr, c * window_ + dc, ch, bb) = g;
         }
   });
-}
-
-tensor::Tensor AvgPooling::backward(const tensor::Tensor& d_output) {
-  if (input_dims_.empty()) {
-    throw std::invalid_argument("AvgPooling::backward before forward");
-  }
-  tensor::Tensor d_input(input_dims_);
-  const double inv_area = 1.0 / static_cast<double>(window_ * window_);
-  runtime::parallel_for(
-      0, d_output.dim(0), 1, [&](std::int64_t rb, std::int64_t re) {
-  for (std::int64_t r = rb; r < re; ++r)
-    for (std::int64_t c = 0; c < d_output.dim(1); ++c)
-      for (std::int64_t ch = 0; ch < d_output.dim(2); ++ch)
-        for (std::int64_t bb = 0; bb < d_output.dim(3); ++bb) {
-          const double g = d_output.at(r, c, ch, bb) * inv_area;
-          for (std::int64_t dr = 0; dr < window_; ++dr)
-            for (std::int64_t dc = 0; dc < window_; ++dc)
-              d_input.at(r * window_ + dr, c * window_ + dc, ch, bb) = g;
-        }
-  });
-  return d_input;
 }
 
 }  // namespace swdnn::dnn

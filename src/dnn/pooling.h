@@ -12,11 +12,9 @@ class MaxPooling : public Layer {
   explicit MaxPooling(std::int64_t window = 2);
 
   std::string name() const override { return "maxpool"; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
 
-  // Compiled path: argmax caches are presized at plan() time; backward
-  // reads only the argmax offsets, so the input dies after forward.
+  // The argmax caches are presized at plan() time; backward reads only
+  // the argmax offsets, so the input dies after forward.
   std::vector<std::int64_t> infer_shape(
       const std::vector<std::int64_t>& input_dims) override;
   void plan(const std::vector<std::int64_t>& input_dims) override;
@@ -29,7 +27,6 @@ class MaxPooling : public Layer {
   std::int64_t window_;
   tensor::Tensor argmax_r_;  ///< winning row offset per output element
   tensor::Tensor argmax_c_;
-  std::vector<std::int64_t> input_dims_;
 };
 
 /// Average pooling (the classic LeNet "subsampling"): same window =
@@ -39,12 +36,9 @@ class AvgPooling : public Layer {
   explicit AvgPooling(std::int64_t window = 2);
 
   std::string name() const override { return "avgpool"; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
 
   std::vector<std::int64_t> infer_shape(
       const std::vector<std::int64_t>& input_dims) override;
-  void plan(const std::vector<std::int64_t>& input_dims) override;
   void forward_view(const tensor::TensorView& input,
                     tensor::TensorView& output) override;
   void backward_view(const tensor::TensorView& d_output,
@@ -52,7 +46,6 @@ class AvgPooling : public Layer {
 
  private:
   std::int64_t window_;
-  std::vector<std::int64_t> input_dims_;
 };
 
 }  // namespace swdnn::dnn

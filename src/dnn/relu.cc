@@ -12,25 +12,6 @@ namespace {
 constexpr std::int64_t kElemGrain = 4096;
 }  // namespace
 
-tensor::Tensor Relu::forward(const tensor::Tensor& input) {
-  mask_ = tensor::Tensor(input.dims());
-  tensor::Tensor out(input.dims());
-  auto in = input.data();
-  auto m = mask_.data();
-  auto o = out.data();
-  runtime::parallel_for(
-      0, static_cast<std::int64_t>(in.size()), kElemGrain,
-      [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const bool on = in[static_cast<std::size_t>(i)] > 0.0;
-          m[static_cast<std::size_t>(i)] = on ? 1.0 : 0.0;
-          o[static_cast<std::size_t>(i)] =
-              on ? in[static_cast<std::size_t>(i)] : 0.0;
-        }
-      });
-  return out;
-}
-
 void Relu::plan(const std::vector<std::int64_t>& input_dims) {
   mask_ = tensor::Tensor(input_dims);
 }
@@ -69,56 +50,6 @@ void Relu::backward_view(const tensor::TensorView& d_output,
                                            m[static_cast<std::size_t>(i)];
         }
       });
-}
-
-void Relu::epilogue_forward_inplace(tensor::TensorView& y) {
-  if (mask_.size() != y.size()) mask_ = tensor::Tensor(y.dims());
-  auto v = y.data();
-  auto m = mask_.data();
-  runtime::parallel_for(
-      0, static_cast<std::int64_t>(v.size()), kElemGrain,
-      [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const auto s = static_cast<std::size_t>(i);
-          const bool on = v[s] > 0.0;
-          m[s] = on ? 1.0 : 0.0;
-          v[s] = on ? v[s] : 0.0;
-        }
-      });
-}
-
-void Relu::epilogue_backward_inplace(tensor::TensorView& d) {
-  if (d.size() != mask_.size()) {
-    throw std::invalid_argument("Relu::epilogue_backward before forward");
-  }
-  auto g = d.data();
-  auto m = mask_.data();
-  runtime::parallel_for(
-      0, static_cast<std::int64_t>(g.size()), kElemGrain,
-      [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          g[static_cast<std::size_t>(i)] *= m[static_cast<std::size_t>(i)];
-        }
-      });
-}
-
-tensor::Tensor Relu::backward(const tensor::Tensor& d_output) {
-  if (d_output.dims() != mask_.dims()) {
-    throw std::invalid_argument("Relu::backward before forward");
-  }
-  tensor::Tensor d_input(d_output.dims());
-  auto d = d_output.data();
-  auto m = mask_.data();
-  auto o = d_input.data();
-  runtime::parallel_for(
-      0, static_cast<std::int64_t>(d.size()), kElemGrain,
-      [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          o[static_cast<std::size_t>(i)] = d[static_cast<std::size_t>(i)] *
-                                           m[static_cast<std::size_t>(i)];
-        }
-      });
-  return d_input;
 }
 
 }  // namespace swdnn::dnn

@@ -8,12 +8,10 @@ namespace swdnn::dnn {
 class Relu : public Layer {
  public:
   std::string name() const override { return "relu"; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
 
-  // Compiled path: the mask is presized at plan() time, so the
-  // steady-state step is allocation-free and the input dies right
-  // after this layer's forward (backward reads only the mask).
+  // The mask is presized at plan() time, so the steady-state compiled
+  // step is allocation-free and the input dies right after this
+  // layer's forward (backward reads only the mask).
   void plan(const std::vector<std::int64_t>& input_dims) override;
   void forward_view(const tensor::TensorView& input,
                     tensor::TensorView& output) override;
@@ -28,8 +26,6 @@ class Relu : public Layer {
   double* epilogue_mask_data() override {
     return mask_.size() > 0 ? mask_.data().data() : nullptr;
   }
-  void epilogue_forward_inplace(tensor::TensorView& y) override;
-  void epilogue_backward_inplace(tensor::TensorView& d) override;
 
  private:
   tensor::Tensor mask_;  ///< 1 where input > 0

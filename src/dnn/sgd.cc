@@ -13,6 +13,13 @@ tensor::Tensor& Sgd::velocity_for(tensor::Tensor* param) {
   return velocity_.back().second;
 }
 
+const tensor::Tensor* Sgd::velocity(const tensor::Tensor* param) const {
+  for (const auto& [key, vel] : velocity_) {
+    if (key == param) return &vel;
+  }
+  return nullptr;
+}
+
 void Sgd::step(const std::vector<ParamGrad>& params) {
   for (const auto& pg : params) {
     auto p = pg.param->data();

@@ -16,6 +16,10 @@ class Sgd {
   /// and created lazily.
   void step(const std::vector<ParamGrad>& params);
 
+  /// The velocity buffer of `param`; nullptr before its first momentum
+  /// step.
+  const tensor::Tensor* velocity(const tensor::Tensor* param) const;
+
   double learning_rate() const { return learning_rate_; }
   void set_learning_rate(double lr) { learning_rate_ = lr; }
 

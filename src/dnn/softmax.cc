@@ -39,11 +39,6 @@ tensor::Tensor softmax_columns(const tensor::Tensor& logits) {
   return out;
 }
 
-tensor::Tensor Softmax::forward(const tensor::Tensor& logits) {
-  cached_output_ = softmax_columns(logits);
-  return cached_output_;
-}
-
 std::vector<std::int64_t> Softmax::infer_shape(
     const std::vector<std::int64_t>& input_dims) {
   if (input_dims.size() != 2) {
@@ -100,27 +95,6 @@ void Softmax::backward_view(const tensor::TensorView& d_output,
           }
         }
       });
-}
-
-tensor::Tensor Softmax::backward(const tensor::Tensor& d_output) {
-  // dL/dz_c = y_c * (dL/dy_c - sum_k dL/dy_k * y_k), per column.
-  const std::int64_t classes = cached_output_.dim(0);
-  const std::int64_t batch = cached_output_.dim(1);
-  tensor::Tensor d_input({classes, batch});
-  runtime::parallel_for(
-      0, batch, kColGrain, [&](std::int64_t b0, std::int64_t b1) {
-        for (std::int64_t b = b0; b < b1; ++b) {
-          double dot = 0;
-          for (std::int64_t c = 0; c < classes; ++c) {
-            dot += d_output.at(c, b) * cached_output_.at(c, b);
-          }
-          for (std::int64_t c = 0; c < classes; ++c) {
-            d_input.at(c, b) =
-                cached_output_.at(c, b) * (d_output.at(c, b) - dot);
-          }
-        }
-      });
-  return d_input;
 }
 
 }  // namespace swdnn::dnn

@@ -10,12 +10,10 @@ namespace swdnn::dnn {
 class Softmax : public Layer {
  public:
   std::string name() const override { return "softmax"; }
-  tensor::Tensor forward(const tensor::Tensor& logits) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
 
-  // Compiled path: the output cache is presized at plan() time;
-  // backward reads only the cached probabilities, so the logits die
-  // right after this layer's forward.
+  // The output cache is presized at plan() time; backward reads only
+  // the cached probabilities, so the logits die right after this
+  // layer's forward.
   std::vector<std::int64_t> infer_shape(
       const std::vector<std::int64_t>& input_dims) override;
   void plan(const std::vector<std::int64_t>& input_dims) override;

@@ -1,95 +1,6 @@
 #include "src/parallel/allreduce.h"
 
-#include <stdexcept>
-
 namespace swdnn::parallel {
-
-void ring_allreduce(std::vector<std::span<double>> buffers, ReduceOp op) {
-  const int n = static_cast<int>(buffers.size());
-  if (n == 0) throw std::invalid_argument("ring_allreduce: no ranks");
-  const std::size_t len = buffers[0].size();
-  for (const auto& b : buffers) {
-    if (b.size() != len) {
-      throw std::invalid_argument("ring_allreduce: length mismatch");
-    }
-  }
-  if (n == 1 || len == 0) {
-    if (op == ReduceOp::kAverage) return;  // average of one = itself
-    return;
-  }
-
-  // Chunk boundaries: chunk c covers [starts[c], starts[c+1]).
-  std::vector<std::size_t> starts(static_cast<std::size_t>(n) + 1);
-  for (int c = 0; c <= n; ++c) {
-    starts[static_cast<std::size_t>(c)] =
-        len * static_cast<std::size_t>(c) / static_cast<std::size_t>(n);
-  }
-
-  // Phase 1: reduce-scatter. At step s, rank r adds its chunk
-  // (r - s + n) % n into rank (r+1)'s copy of that chunk. After n-1
-  // steps rank r holds the full sum of chunk (r+1) % n.
-  for (int step = 0; step < n - 1; ++step) {
-    for (int r = 0; r < n; ++r) {
-      const int src = r;
-      const int dst = (r + 1) % n;
-      const int chunk = (r - step + n) % n;
-      for (std::size_t i = starts[static_cast<std::size_t>(chunk)];
-           i < starts[static_cast<std::size_t>(chunk) + 1]; ++i) {
-        buffers[static_cast<std::size_t>(dst)][i] +=
-            buffers[static_cast<std::size_t>(src)][i];
-      }
-    }
-    // The adds above must all read pre-step values of the *chunks being
-    // sent*; since each step sends a different chunk per rank and the
-    // ring is a permutation, in-place sequential application is safe:
-    // rank r's outgoing chunk (r-step) is never the chunk being written
-    // at r this step ((r-1-step+n)%n != (r-step+n)%n for n > 1).
-  }
-
-  // Phase 2: all-gather. Rank (c+n-1)%n owns finished chunk c; pass
-  // finished chunks around the ring.
-  for (int step = 0; step < n - 1; ++step) {
-    for (int r = 0; r < n; ++r) {
-      const int src = r;
-      const int dst = (r + 1) % n;
-      // src holds finished chunk (r + n - step) % n ... derive: after
-      // reduce-scatter rank r owns chunk (r+1)%n; at gather step s it
-      // forwards chunk (r + 1 - s + n) % n.
-      const int chunk = (r + 1 - step % n + n) % n;
-      for (std::size_t i = starts[static_cast<std::size_t>(chunk)];
-           i < starts[static_cast<std::size_t>(chunk) + 1]; ++i) {
-        buffers[static_cast<std::size_t>(dst)][i] =
-            buffers[static_cast<std::size_t>(src)][i];
-      }
-    }
-  }
-
-  if (op == ReduceOp::kAverage) {
-    const double inv = 1.0 / static_cast<double>(n);
-    for (auto& b : buffers) {
-      for (double& v : b) v *= inv;
-    }
-  }
-}
-
-void ring_allreduce_resilient(std::vector<std::span<double>> buffers,
-                              const std::vector<bool>& alive, ReduceOp op) {
-  if (alive.size() != buffers.size()) {
-    throw std::invalid_argument(
-        "ring_allreduce_resilient: alive/buffers length mismatch");
-  }
-  std::vector<std::span<double>> survivors;
-  survivors.reserve(buffers.size());
-  for (std::size_t r = 0; r < buffers.size(); ++r) {
-    if (alive[r]) survivors.push_back(buffers[r]);
-  }
-  if (survivors.empty()) {
-    throw std::invalid_argument("ring_allreduce_resilient: no rank alive");
-  }
-  // The survivor list IS the rebuilt ring: the plain ring over it skips
-  // dead ranks and, for kAverage, rescales by the live count.
-  ring_allreduce(std::move(survivors), op);
-}
 
 double ring_allreduce_seconds(std::int64_t bytes, int nodes,
                               const InterconnectSpec& spec) {

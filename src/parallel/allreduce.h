@@ -1,43 +1,19 @@
 #pragma once
-// Ring all-reduce across simulated nodes.
+// Ring all-reduce cost model across simulated nodes.
 //
 // The paper's introduction frames swDNN inside large-scale parallel
 // DNN training ("the increasing adoption of large-scale GPU clusters
 // ... there are still algorithmic difficulties for scaling the training
 // process"); a TaihuLight deployment shards the batch across nodes and
-// averages gradients every step. This module provides that substrate:
-// a functional ring all-reduce over in-memory buffers plus the standard
-// cost model (2(N-1)/N * bytes at link bandwidth + per-step latency) so
-// the examples can report communication budgets alongside compute.
+// averages gradients every step. This module prices that exchange with
+// the standard ring cost model (2(N-1)/N * bytes at link bandwidth +
+// per-step latency) so the trainers and examples can report
+// communication budgets alongside compute. The reduction itself is
+// HierarchicalTrainer's canonical kernel (hierarchical.h).
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace swdnn::parallel {
-
-enum class ReduceOp { kSum, kAverage };
-
-/// Reduces `buffers` (all the same length) element-wise in place: after
-/// the call every buffer holds the reduction. Implemented as the
-/// standard two-phase ring (reduce-scatter, then all-gather) over
-/// N = buffers.size() ranks so the data movement matches what the cost
-/// model charges; the result is identical to a tree reduction up to
-/// f64 rounding (the ring fixes the summation order, so the call is
-/// deterministic).
-void ring_allreduce(std::vector<std::span<double>> buffers,
-                    ReduceOp op = ReduceOp::kSum);
-
-/// Fault-aware variant for degraded clusters: `alive[r]` marks which
-/// ranks still respond. The ring is rebuilt over the survivors (dead
-/// ranks are skipped entirely — their buffers are neither read nor
-/// written), and for kAverage the divisor is the survivor count, so
-/// the result is exactly what ring_allreduce would produce on the
-/// surviving subset. Throws std::invalid_argument when `alive` and
-/// `buffers` disagree in length or no rank is alive.
-void ring_allreduce_resilient(std::vector<std::span<double>> buffers,
-                              const std::vector<bool>& alive,
-                              ReduceOp op = ReduceOp::kSum);
 
 struct InterconnectSpec {
   double link_bandwidth_gbs = 8.0;  ///< per-direction node link (TaihuLight

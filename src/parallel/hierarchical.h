@@ -30,6 +30,11 @@
 // makes "hierarchical overlapped == flat serialized, bitwise" testable
 // and lets the fault ladder kill ranks mid-epoch without perturbing the
 // survivors' arithmetic.
+//
+// This is the library's one data-parallel trainer. Plain synchronous
+// SGD over N nodes is HierTopology::grid(N, 1): one CG per node, so the
+// intra-node NoC terms are zero and the modeled exchange is the flat
+// ring's.
 
 #include <array>
 #include <atomic>
@@ -199,10 +204,13 @@ class HierarchicalTrainer {
     return *replicas_.at(static_cast<std::size_t>(rank));
   }
 
-  /// Compiles every replica for the per-rank shard shape against one
-  /// shared BackendContext (see DataParallelTrainer::compile). Also
-  /// builds the gradient buckets from the compiled graph's backward
-  /// node order. `spec` = nullptr uses the real SW26010 numbers.
+  /// Compiles every replica for the per-rank shard shape against ONE
+  /// shared BackendContext (one Handle, one plan cache): replicas run
+  /// identical shapes, so the first replica's plan warm-up serves all
+  /// of them, and fault/fallback accounting aggregates in one place.
+  /// Also builds the gradient buckets from the compiled graph's
+  /// backward node order. `spec` = nullptr uses the real SW26010
+  /// numbers.
   void compile(const std::vector<std::int64_t>& shard_input_dims,
                const arch::Sw26010Spec* spec = nullptr);
 
@@ -239,6 +247,10 @@ class HierarchicalTrainer {
 
   bool rank_alive(int rank) const {
     return alive_.at(static_cast<std::size_t>(rank));
+  }
+  /// The rank's optimizer (its momentum state).
+  const dnn::Sgd& optimizer(int rank) const {
+    return optimizers_.at(static_cast<std::size_t>(rank));
   }
   int live_ranks() const;
   /// Nodes with at least one live CG.

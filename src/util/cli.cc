@@ -1,9 +1,20 @@
 #include "src/util/cli.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <string_view>
 
 namespace swdnn::util {
+
+namespace {
+[[noreturn]] void bad_value(const std::string& key, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument("--" + key + ": expected " + expected +
+                              ", got '" + value + "'");
+}
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -33,13 +44,28 @@ std::int64_t CliArgs::get_int(const std::string& key,
                               std::int64_t fallback) const {
   auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    bad_value(key, it->second, "an integer");
+  }
+  return value;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    bad_value(key, it->second, "a finite number");
+  }
+  return value;
 }
 
 }  // namespace swdnn::util

@@ -19,6 +19,8 @@ class CliArgs {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Numeric values must be one complete, in-range number; anything
+  /// else throws std::invalid_argument naming the flag.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/api/swdnn_api.h"
@@ -35,6 +36,19 @@ class ApiTest : public ::testing::Test {
 TEST(ApiLifecycle, CreateRejectsNull) {
   EXPECT_EQ(create(nullptr), Status::kBadParam);
   EXPECT_EQ(destroy(nullptr), Status::kBadParam);
+}
+
+TEST(ApiLifecycle, CreateRejectsNonPositiveMesh) {
+  for (const auto& [rows, cols] :
+       {std::pair{0, 0}, std::pair{-2, -2}, std::pair{4, 0}}) {
+    arch::Sw26010Spec spec = mesh_spec(4);
+    spec.mesh_rows = rows;
+    spec.mesh_cols = cols;
+    Handle* handle = nullptr;
+    EXPECT_EQ(create(&handle, &spec), Status::kBadParam)
+        << rows << "x" << cols;
+    EXPECT_EQ(handle, nullptr);
+  }
 }
 
 TEST(ApiLifecycle, StatusStrings) {

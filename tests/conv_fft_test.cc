@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <complex>
+#include <ostream>
 
 #include "src/conv/fftconv.h"
 #include "src/perf/chooser.h"
@@ -108,6 +109,10 @@ FftShape fs(std::int64_t b, std::int64_t ni, std::int64_t no,
               std::to_string(no) + "o" + std::to_string(ro) + "x" +
               std::to_string(co) + "k" + std::to_string(k)};
 }
+
+// Prints the label, not the raw bytes, so discovered test names are
+// stable across runs.
+void PrintTo(const FftShape& c, std::ostream* os) { *os << c.label; }
 
 class FftConv : public ::testing::TestWithParam<FftShape> {};
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/conv/im2col.h"
 #include "src/conv/reference.h"
 #include "src/util/rng.h"
@@ -21,6 +23,10 @@ ShapeCase sc(std::int64_t b, std::int64_t ni, std::int64_t no,
               std::to_string(co) + "k" + std::to_string(kr) + "x" +
               std::to_string(kc)};
 }
+
+// Prints the label, not the raw bytes, so discovered test names are
+// stable across runs.
+void PrintTo(const ShapeCase& c, std::ostream* os) { *os << c.label; }
 
 class Im2colForward : public ::testing::TestWithParam<ShapeCase> {};
 

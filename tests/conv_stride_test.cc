@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/conv/backward.h"
 #include "src/conv/fftconv.h"
 #include "src/conv/im2col.h"
@@ -67,6 +69,10 @@ StrideCase stc(std::int64_t b, std::int64_t ni, std::int64_t no,
               std::to_string(co) + "k" + std::to_string(k) + "s" +
               std::to_string(sr) + "x" + std::to_string(sc)};
 }
+
+// Prints the label, not the raw bytes, so discovered test names are
+// stable across runs.
+void PrintTo(const StrideCase& c, std::ostream* os) { *os << c.label; }
 
 class StridedPaths : public ::testing::TestWithParam<StrideCase> {};
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/conv/reference.h"
 #include "src/conv/swconv.h"
 #include "src/util/rng.h"
@@ -20,6 +22,16 @@ arch::Sw26010Spec mesh_spec(int dim) {
 conv::ConvShape paper_shape(std::int64_t ni, std::int64_t no,
                             std::int64_t k = 3) {
   return conv::ConvShape::from_output(128, ni, no, 64, 64, k, k);
+}
+
+TEST(SwConv, RejectsNonPositiveMesh) {
+  for (const int dim : {0, -2}) {
+    EXPECT_THROW(SwConvolution{mesh_spec(dim)}, std::invalid_argument)
+        << "mesh " << dim;
+  }
+  arch::Sw26010Spec ragged = mesh_spec(4);
+  ragged.mesh_cols = 0;
+  EXPECT_THROW(SwConvolution{ragged}, std::invalid_argument);
 }
 
 TEST(SwConv, AutoPlanForwardMatchesReference) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/conv/reference.h"
 #include "src/conv/winograd.h"
 #include "src/util/rng.h"
@@ -86,6 +88,10 @@ WinoCase wc(std::int64_t b, std::int64_t ni, std::int64_t no,
               std::to_string(no) + "o" + std::to_string(ro) + "x" +
               std::to_string(co)};
 }
+
+// Prints the label, not the raw bytes, so discovered test names are
+// stable across runs.
+void PrintTo(const WinoCase& c, std::ostream* os) { *os << c.label; }
 
 class WinogradConv : public ::testing::TestWithParam<WinoCase> {};
 

@@ -24,7 +24,7 @@
 #include "src/dnn/sgd.h"
 #include "src/dnn/softmax.h"
 #include "src/dnn/trainer.h"
-#include "src/parallel/data_parallel.h"
+#include "src/parallel/hierarchical.h"
 #include "src/sim/fault.h"
 #include "src/sim/trace.h"
 #include "src/tensor/tensor.h"
@@ -331,7 +331,8 @@ TEST(DnnGraph, DataParallelReplicasShareOneBackendContext) {
     net->emplace<Softmax>();
     return net;
   };
-  parallel::DataParallelTrainer dp(2, make_replica, 0.05);
+  parallel::HierarchicalTrainer dp(parallel::HierTopology::grid(2, 1),
+                                   make_replica, 0.05);
   dp.compile({8, 8, 1, 3});
 
   ASSERT_NE(dp.shared_context(), nullptr);

@@ -1,6 +1,6 @@
 // Concurrent Network::compile and compiled stepping across multiple
 // networks sharing ONE BackendContext — the serving runtime's replica
-// shape (and DataParallelTrainer's). A single compiled Network instance
+// shape (and HierarchicalTrainer's). A single compiled Network instance
 // is not a concurrent object (its arena views are shared state), so the
 // supported concurrency unit is one network per thread over a shared
 // handle: one plan cache, one fault ladder, hammered from all sides.

@@ -1,82 +1,17 @@
-// The data-parallel substrate: ring all-reduce correctness, the
-// interconnect cost model, and synchronous-SGD equivalence with
-// single-node full-batch training.
+// The data-parallel substrate: the interconnect cost model, and
+// synchronous-SGD equivalence with single-node full-batch training on
+// the flat topology HierTopology::grid(n, 1).
 
 #include <gtest/gtest.h>
 
 #include "src/dnn/convolution.h"
 #include "src/dnn/fully_connected.h"
 #include "src/dnn/relu.h"
-#include "src/parallel/data_parallel.h"
+#include "src/parallel/hierarchical.h"
 #include "src/util/rng.h"
 
 namespace swdnn::parallel {
 namespace {
-
-TEST(RingAllreduce, SumAcrossRanks) {
-  for (int n : {1, 2, 3, 4, 7}) {
-    for (std::size_t len : {1u, 4u, 9u, 64u}) {
-      std::vector<std::vector<double>> data(static_cast<std::size_t>(n));
-      double expected_base = 0;
-      for (int r = 0; r < n; ++r) {
-        data[static_cast<std::size_t>(r)].resize(len);
-        for (std::size_t i = 0; i < len; ++i) {
-          data[static_cast<std::size_t>(r)][i] =
-              static_cast<double>(r + 1) * static_cast<double>(i + 1);
-        }
-        expected_base += static_cast<double>(r + 1);
-      }
-      std::vector<std::span<double>> spans;
-      for (auto& d : data) spans.emplace_back(d);
-      ring_allreduce(spans, ReduceOp::kSum);
-      for (int r = 0; r < n; ++r) {
-        for (std::size_t i = 0; i < len; ++i) {
-          ASSERT_NEAR(data[static_cast<std::size_t>(r)][i],
-                      expected_base * static_cast<double>(i + 1), 1e-10)
-              << "n=" << n << " len=" << len << " rank=" << r << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(RingAllreduce, AverageAcrossRanks) {
-  std::vector<std::vector<double>> data = {{2, 4}, {4, 8}, {6, 12}};
-  std::vector<std::span<double>> spans;
-  for (auto& d : data) spans.emplace_back(d);
-  ring_allreduce(spans, ReduceOp::kAverage);
-  for (const auto& d : data) {
-    EXPECT_NEAR(d[0], 4.0, 1e-12);
-    EXPECT_NEAR(d[1], 8.0, 1e-12);
-  }
-}
-
-TEST(RingAllreduce, RandomValuesMatchDirectSum) {
-  util::Rng rng(2026);
-  const int n = 5;
-  const std::size_t len = 37;  // deliberately not divisible by n
-  std::vector<std::vector<double>> data(n, std::vector<double>(len));
-  std::vector<double> expected(len, 0.0);
-  for (auto& d : data) {
-    rng.fill_uniform(d, -1, 1);
-    for (std::size_t i = 0; i < len; ++i) expected[i] += d[i];
-  }
-  std::vector<std::span<double>> spans;
-  for (auto& d : data) spans.emplace_back(d);
-  ring_allreduce(spans, ReduceOp::kSum);
-  for (const auto& d : data) {
-    for (std::size_t i = 0; i < len; ++i) {
-      ASSERT_NEAR(d[i], expected[i], 1e-10);
-    }
-  }
-}
-
-TEST(RingAllreduce, RejectsMismatchedLengths) {
-  std::vector<double> a(4), b(5);
-  std::vector<std::span<double>> spans = {a, b};
-  EXPECT_THROW(ring_allreduce(spans), std::invalid_argument);
-  EXPECT_THROW(ring_allreduce({}), std::invalid_argument);
-}
 
 TEST(CostModel, SingleNodeIsFree) {
   EXPECT_EQ(ring_allreduce_seconds(1 << 20, 1), 0.0);
@@ -139,7 +74,8 @@ TEST(DataParallel, TwoNodesMatchSingleNodeFullBatch) {
   trainer.train_step(full);
 
   // Two nodes, half shards.
-  DataParallelTrainer dp(2, [] { return make_net(4); }, 0.1);
+  HierarchicalTrainer dp(HierTopology::grid(2, 1), [] { return make_net(4); },
+                         0.1);
   std::vector<dnn::Batch> shards(2);
   for (int node = 0; node < 2; ++node) {
     shards[node].images = tensor::Tensor({4, 4, 1, 4});
@@ -165,31 +101,76 @@ TEST(DataParallel, TwoNodesMatchSingleNodeFullBatch) {
   EXPECT_LE(dp.max_replica_divergence(), 1e-12);
 }
 
+TEST(DataParallel, DeadRankStepEqualsSgdOnTheLiveShards) {
+  // With rank 1 of 3 dead, the average must rescale to the two live
+  // ranks: one step equals single-replica SGD on shards 0 and 2
+  // concatenated.
+  dnn::SyntheticBars data(4, 3, 0.05, 71);
+  std::vector<dnn::Batch> shards;
+  for (int node = 0; node < 3; ++node) shards.push_back(data.sample(4));
+
+  dnn::Batch live;
+  live.images = tensor::Tensor({4, 4, 1, 8});
+  for (const int node : {0, 2}) {
+    const std::int64_t offset = node == 0 ? 0 : 4;
+    for (std::int64_t r = 0; r < 4; ++r)
+      for (std::int64_t c = 0; c < 4; ++c)
+        for (std::int64_t b = 0; b < 4; ++b)
+          live.images.at(r, c, 0, offset + b) =
+              shards[static_cast<std::size_t>(node)].images.at(r, c, 0, b);
+    const auto& labels = shards[static_cast<std::size_t>(node)].labels;
+    live.labels.insert(live.labels.end(), labels.begin(), labels.end());
+  }
+  auto single = make_net(8);
+  dnn::Sgd opt(0.1);
+  dnn::Trainer trainer(*single, opt);
+  trainer.train_step(live);
+
+  HierarchicalTrainer dp(HierTopology::grid(3, 1), [] { return make_net(4); },
+                         0.1);
+  dp.kill_rank(1);
+  const HierStepReport report = dp.train_step(shards);
+  EXPECT_EQ(report.live_ranks, 2);
+
+  const auto ps = single->params();
+  for (const int rank : {0, 2}) {
+    const auto pd = dp.replica(rank).params();
+    ASSERT_EQ(ps.size(), pd.size());
+    for (std::size_t p = 0; p < ps.size(); ++p) {
+      EXPECT_LE(ps[p].param->max_abs_diff(*pd[p].param), 1e-12)
+          << "rank " << rank << " param " << p;
+    }
+  }
+}
+
 TEST(DataParallel, ReplicasStayInSyncOverManySteps) {
-  DataParallelTrainer dp(3, [] { return make_net(2); }, 0.2, 0.9);
+  HierarchicalTrainer dp(HierTopology::grid(3, 1), [] { return make_net(2); },
+                         0.2, 0.9);
   dnn::SyntheticBars data(4, 3, 0.05, 67);
   for (int step = 0; step < 10; ++step) {
     std::vector<dnn::Batch> shards;
     for (int node = 0; node < 3; ++node) shards.push_back(data.sample(2));
     const auto result = dp.train_step(shards);
-    EXPECT_GE(result.comm_seconds, 0.0);
+    EXPECT_GE(result.exchange_flat_seconds, 0.0);
   }
   EXPECT_LE(dp.max_replica_divergence(), 1e-12);
 }
 
 TEST(DataParallel, GradientBytesCountAllParameters) {
-  DataParallelTrainer dp(2, [] { return make_net(2); }, 0.1);
+  HierarchicalTrainer dp(HierTopology::grid(2, 1), [] { return make_net(2); },
+                         0.1);
   // conv filter 3*3*1*2 + fc weights 3*8 + fc bias 3 = 45 doubles.
   EXPECT_EQ(dp.gradient_bytes(), (3 * 3 * 1 * 2 + 3 * 8 + 3) * 8);
 }
 
 TEST(DataParallel, RejectsWrongShardCount) {
-  DataParallelTrainer dp(2, [] { return make_net(2); }, 0.1);
+  HierarchicalTrainer dp(HierTopology::grid(2, 1), [] { return make_net(2); },
+                         0.1);
   std::vector<dnn::Batch> shards(1);
   EXPECT_THROW(dp.train_step(shards), std::invalid_argument);
-  EXPECT_THROW(
-      DataParallelTrainer(0, [] { return make_net(2); }, 0.1),
-      std::invalid_argument);
+  EXPECT_THROW(HierarchicalTrainer(HierTopology::grid(0, 1),
+                                   [] { return make_net(2); }, 0.1),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Self-healing training: the fault-aware ring all-reduce, losing and
-// reviving ranks mid-training, and the Trainer's checkpoint/rollback
+// Self-healing training: losing and reviving ranks mid-training (the
+// reduction over live ranks), and the Trainer's checkpoint/rollback
 // path for corrupted or faulting steps.
 
 #include <gtest/gtest.h>
@@ -13,58 +13,11 @@
 #include "src/dnn/fully_connected.h"
 #include "src/dnn/relu.h"
 #include "src/dnn/trainer.h"
-#include "src/parallel/data_parallel.h"
+#include "src/parallel/hierarchical.h"
 #include "src/util/rng.h"
 
 namespace swdnn::parallel {
 namespace {
-
-TEST(ResilientAllreduce, MatchesPlainRingOverTheSurvivors) {
-  util::Rng rng(31);
-  const std::size_t len = 17;
-  std::vector<std::vector<double>> data(4, std::vector<double>(len));
-  for (auto& d : data) rng.fill_uniform(d, -1, 1);
-  std::vector<std::vector<double>> survivors = {data[0], data[1], data[3]};
-
-  std::vector<std::span<double>> spans;
-  for (auto& d : data) spans.emplace_back(d);
-  ring_allreduce_resilient(spans, {true, true, false, true}, ReduceOp::kSum);
-
-  std::vector<std::span<double>> survivor_spans;
-  for (auto& d : survivors) survivor_spans.emplace_back(d);
-  ring_allreduce(survivor_spans, ReduceOp::kSum);
-
-  for (const int r : {0, 1, 3}) {
-    for (std::size_t i = 0; i < len; ++i) {
-      ASSERT_NEAR(data[static_cast<std::size_t>(r)][i], survivors[0][i],
-                  1e-12)
-          << "rank " << r << " i " << i;
-    }
-  }
-}
-
-TEST(ResilientAllreduce, AverageRescalesToLiveCountAndSkipsTheDead) {
-  std::vector<std::vector<double>> data = {{2, 4}, {4, 8}, {6, 12}};
-  std::vector<std::span<double>> spans;
-  for (auto& d : data) spans.emplace_back(d);
-  ring_allreduce_resilient(spans, {true, true, false}, ReduceOp::kAverage);
-  for (const int r : {0, 1}) {
-    EXPECT_NEAR(data[static_cast<std::size_t>(r)][0], 3.0, 1e-12);
-    EXPECT_NEAR(data[static_cast<std::size_t>(r)][1], 6.0, 1e-12);
-  }
-  // The dead rank's buffer was neither read nor written.
-  EXPECT_EQ(data[2][0], 6.0);
-  EXPECT_EQ(data[2][1], 12.0);
-}
-
-TEST(ResilientAllreduce, ValidatesAliveMaskAndSurvivorCount) {
-  std::vector<double> a(4), b(4);
-  std::vector<std::span<double>> spans = {a, b};
-  EXPECT_THROW(ring_allreduce_resilient(spans, {true}),
-               std::invalid_argument);
-  EXPECT_THROW(ring_allreduce_resilient(spans, {false, false}),
-               std::invalid_argument);
-}
 
 std::unique_ptr<dnn::Network> make_net(std::int64_t batch) {
   util::Rng rng(555);  // fixed seed: replicas identical
@@ -87,7 +40,8 @@ TEST(DataParallelResilience, TrainingConvergesOnSurvivorsAfterAKill) {
   // The acceptance scenario: kill one rank mid-training; the ring is
   // rebuilt over the survivors, the replicas stay in lockstep, and the
   // loss keeps going down.
-  DataParallelTrainer dp(3, [] { return make_net(4); }, 0.3);
+  HierarchicalTrainer dp(HierTopology::grid(3, 1), [] { return make_net(4); },
+                         0.3);
   dnn::SyntheticBars data(4, 3, 0.05, 68);
 
   double early = 0;
@@ -115,7 +69,8 @@ TEST(DataParallelResilience, TrainingConvergesOnSurvivorsAfterAKill) {
 }
 
 TEST(DataParallelResilience, RevivedRankRejoinsInLockstepWithMomentum) {
-  DataParallelTrainer dp(3, [] { return make_net(2); }, 0.2, 0.9);
+  HierarchicalTrainer dp(HierTopology::grid(3, 1), [] { return make_net(2); },
+                         0.2, 0.9);
   dnn::SyntheticBars data(4, 3, 0.05, 69);
   for (int step = 0; step < 3; ++step) {
     dp.train_step(make_shards(data, 3, 2));
@@ -136,7 +91,8 @@ TEST(DataParallelResilience, RevivedRankRejoinsInLockstepWithMomentum) {
 }
 
 TEST(DataParallelResilience, AllRanksDeadIsAnError) {
-  DataParallelTrainer dp(2, [] { return make_net(2); }, 0.1);
+  HierarchicalTrainer dp(HierTopology::grid(2, 1), [] { return make_net(2); },
+                         0.1);
   dnn::SyntheticBars data(4, 3, 0.05, 70);
   dp.kill_rank(0);
   dp.kill_rank(1);
@@ -144,7 +100,8 @@ TEST(DataParallelResilience, AllRanksDeadIsAnError) {
 }
 
 TEST(DataParallelResilience, ReviveWithNoSurvivorsThrows) {
-  DataParallelTrainer dp(2, [] { return make_net(2); }, 0.1);
+  HierarchicalTrainer dp(HierTopology::grid(2, 1), [] { return make_net(2); },
+                         0.1);
   dp.kill_rank(0);
   dp.kill_rank(1);
   EXPECT_THROW(dp.revive_rank(0), std::runtime_error);
@@ -170,6 +127,47 @@ void expect_equal(const std::vector<std::vector<double>>& a,
       ASSERT_EQ(a[p][i], d[i]) << "param " << p << " elem " << i;
     }
   }
+}
+
+TEST(DataParallelResilience, DeadRankIsNeitherReadNorWritten) {
+  // From kill_rank until revive_rank the dead rank's parameters and
+  // momentum stay bit-identical, and its gradients (poisoned with NaN)
+  // never reach the survivors.
+  HierarchicalTrainer dp(HierTopology::grid(3, 1), [] { return make_net(2); },
+                         0.2, 0.9);
+  dnn::SyntheticBars data(4, 3, 0.05, 72);
+  for (int step = 0; step < 3; ++step) dp.train_step(make_shards(data, 3, 2));
+
+  dp.kill_rank(1);
+  dnn::Network& dead = dp.replica(1);
+  const auto params = snapshot(dead);
+  std::vector<std::vector<double>> velocity;
+  for (const auto& pg : dead.params()) {
+    const tensor::Tensor* v = dp.optimizer(1).velocity(pg.param);
+    ASSERT_NE(v, nullptr);
+    velocity.emplace_back(v->data().begin(), v->data().end());
+    pg.grad->fill(std::numeric_limits<double>::quiet_NaN());
+  }
+  for (int step = 0; step < 3; ++step) dp.train_step(make_shards(data, 3, 2));
+
+  expect_equal(params, dead);
+  const auto dead_params = dead.params();
+  for (std::size_t p = 0; p < dead_params.size(); ++p) {
+    const auto v = dp.optimizer(1).velocity(dead_params[p].param)->data();
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      ASSERT_EQ(v[i], velocity[p][i]) << "velocity " << p << " elem " << i;
+    }
+    for (const double g : dead_params[p].grad->data()) {
+      ASSERT_TRUE(std::isnan(g)) << "gradient " << p << " was written";
+    }
+  }
+  for (const auto& pg : dp.replica(0).params()) {
+    for (const double x : pg.param->data()) ASSERT_TRUE(std::isfinite(x));
+  }
+  EXPECT_EQ(dp.max_replica_divergence(), 0.0);
+
+  dp.revive_rank(1);
+  EXPECT_EQ(dp.max_replica_divergence(), 0.0);
 }
 
 TEST(TrainerResilience, RollbackRestoresTheLastCheckpoint) {

@@ -25,7 +25,7 @@
 #include "src/dnn/pooling.h"
 #include "src/dnn/relu.h"
 #include "src/dnn/trainer.h"
-#include "src/parallel/data_parallel.h"
+#include "src/parallel/hierarchical.h"
 #include "src/runtime/task_pool.h"
 #include "src/sim/fault.h"
 #include "src/util/ksum.h"
@@ -258,8 +258,8 @@ std::unique_ptr<dnn::Network> make_replica(std::int64_t batch) {
 /// losses plus replica 0's final parameters.
 std::vector<double> data_parallel_signature(int threads) {
   return with_threads(threads, [&] {
-    parallel::DataParallelTrainer dp(3, [] { return make_replica(4); }, 0.2,
-                                     0.9);
+    parallel::HierarchicalTrainer dp(parallel::HierTopology::grid(3, 1),
+                                     [] { return make_replica(4); }, 0.2, 0.9);
     dnn::SyntheticBars data(4, 3, 0.05, 68);
     auto shards = [&] {
       std::vector<dnn::Batch> out;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/util/cli.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
@@ -54,6 +57,39 @@ TEST(CliArgs, StringAndDoubleValues) {
   CliArgs args(3, argv);
   EXPECT_EQ(args.get("plan", "img"), "batch");
   EXPECT_DOUBLE_EQ(args.get_double("lr", 0.0), 0.05);
+}
+
+/// Expects parse(key) to throw std::invalid_argument naming --key.
+template <typename Parse>
+void expect_flag_error(Parse parse, const char* key) {
+  try {
+    parse(key);
+    ADD_FAILURE() << key << " parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CliArgs, MalformedIntegersThrowNamingTheFlag) {
+  const char* argv[] = {"prog", "--mesh=abc", "--batch=4x", "--steps=",
+                        "--n=99999999999999999999", "--k=-2"};
+  CliArgs args(6, argv);
+  for (const char* key : {"mesh", "batch", "steps", "n"}) {
+    expect_flag_error([&](const char* k) { args.get_int(k, 0); }, key);
+  }
+  EXPECT_EQ(args.get_int("k", 0), -2);  // negative is a number
+}
+
+TEST(CliArgs, MalformedDoublesThrowNamingTheFlag) {
+  const char* argv[] = {"prog", "--lr=0.5e", "--rate=abc", "--big=1e999",
+                        "--mom=inf", "--ok=2.5e-1"};
+  CliArgs args(6, argv);
+  for (const char* key : {"lr", "rate", "big", "mom"}) {
+    expect_flag_error([&](const char* k) { args.get_double(k, 0.0); }, key);
+  }
+  EXPECT_DOUBLE_EQ(args.get_double("ok", 0.0), 0.25);
 }
 
 TEST(Rng, DeterministicForFixedSeed) {
