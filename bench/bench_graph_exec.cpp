@@ -5,9 +5,9 @@
 //
 // This bench is a GATE: it exits nonzero unless the compiled path is at
 // least as fast as eager (speedup >= 1.0 on the best-of-trials timing)
-// AND mints no more tensors per batch than eager. With fusion removing
-// a full elementwise pass per fused pair and the steady state
-// allocation-free, a compiled step that loses to eager is a regression.
+// AND mints no more tensors per batch than eager. With the steady state
+// allocation-free and fused pairs sharing one arena slot, a compiled
+// step that loses to eager is a regression.
 
 #include <cstdio>
 #include <memory>

@@ -6,6 +6,7 @@
 // Usage: alexnet_mini [--steps=60] [--batch=8]
 
 #include <cstdio>
+#include <exception>
 
 #include "src/dnn/activations.h"
 #include "src/dnn/convolution.h"
@@ -21,7 +22,7 @@
 
 namespace dnn = swdnn::dnn;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   swdnn::util::CliArgs args(argc, argv);
   const int steps = static_cast<int>(args.get_int("steps", 60));
   const std::int64_t batch = args.get_int("batch", 8);
@@ -69,4 +70,7 @@ int main(int argc, char** argv) {
   std::printf("\neval-mode held-out accuracy: %.2f (chance %.2f)\n",
               accuracy, 1.0 / classes);
   return accuracy > 1.5 / classes ? 0 : 1;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

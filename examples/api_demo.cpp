@@ -8,6 +8,7 @@
 // Usage: api_demo [--mesh=2|4|8]
 
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "src/api/swdnn_api.h"
@@ -27,7 +28,7 @@ namespace api = swdnn::api;
     }                                                                   \
   } while (0)
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   swdnn::util::CliArgs args(argc, argv);
   swdnn::arch::Sw26010Spec spec = swdnn::arch::default_spec();
   spec.mesh_rows = spec.mesh_cols = static_cast<int>(args.get_int("mesh", 4));
@@ -119,4 +120,7 @@ int main(int argc, char** argv) {
   CHECK_STATUS(api::destroy(handle));
   std::printf("handle destroyed — done.\n");
   return worst < 1e-10 ? 0 : 1;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -5,6 +5,7 @@
 // Usage: checkpoint_training [--steps=40] [--path=/tmp/swdnn_ckpt.bin]
 
 #include <cstdio>
+#include <exception>
 
 #include "src/dnn/convolution.h"
 #include "src/dnn/fully_connected.h"
@@ -30,7 +31,7 @@ dnn::Network build(swdnn::util::Rng& rng, std::int64_t batch) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   swdnn::util::CliArgs args(argc, argv);
   const int steps = static_cast<int>(args.get_int("steps", 40));
   const std::int64_t batch = 8;
@@ -76,4 +77,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", ok ? "checkpoint round-trip OK"
                          : "checkpoint round-trip FAILED");
   return ok ? 0 : 1;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

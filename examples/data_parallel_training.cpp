@@ -7,6 +7,7 @@
 // Usage: data_parallel_training [--nodes=4] [--steps=30]
 
 #include <cstdio>
+#include <exception>
 #include <memory>
 
 #include "src/conv/swconv.h"
@@ -21,7 +22,7 @@
 namespace dnn = swdnn::dnn;
 namespace parallel = swdnn::parallel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   swdnn::util::CliArgs args(argc, argv);
   const int nodes = static_cast<int>(args.get_int("nodes", 4));
   const int steps = static_cast<int>(args.get_int("steps", 30));
@@ -100,4 +101,7 @@ int main(int argc, char** argv) {
               "adding nodes stops helping — the 'algorithmic "
               "difficulties' the paper's introduction refers to.\n");
   return 0;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

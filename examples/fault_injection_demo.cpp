@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <vector>
 
@@ -69,7 +70,7 @@ std::unique_ptr<swdnn::dnn::Network> make_net(std::int64_t batch) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   swdnn::util::CliArgs args(argc, argv);
   swdnn::arch::Sw26010Spec spec = swdnn::arch::default_spec();
   const int mesh = static_cast<int>(args.get_int("mesh", 2));
@@ -176,4 +177,7 @@ int main(int argc, char** argv) {
               clean.loss.loss, clean.rolled_back ? "yes" : "no");
   std::remove("/tmp/swdnn_demo_ckpt.bin");
   return 0;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

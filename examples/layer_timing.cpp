@@ -6,12 +6,13 @@
 // Usage: layer_timing [--batch=128]
 
 #include <cstdio>
+#include <exception>
 
 #include "src/conv/swconv.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   namespace conv = swdnn::conv;
   swdnn::util::CliArgs args(argc, argv);
   const std::int64_t batch = args.get_int("batch", 128);
@@ -60,4 +61,7 @@ int main(int argc, char** argv) {
               total_flops / 1e9, total_time * 1e3,
               total_flops / total_time / 1e9);
   return 0;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -7,6 +7,7 @@
 // Usage: pipeline_viewer [--iterations=2] [--schedule=both|original|reordered]
 
 #include <cstdio>
+#include <exception>
 #include <map>
 
 #include "src/timing/kernels.h"
@@ -45,7 +46,7 @@ void render(const char* title, const swdnn::arch::InstructionStream& stream,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   swdnn::util::CliArgs args(argc, argv);
   const int iterations = static_cast<int>(args.get_int("iterations", 2));
   const std::string which = args.get("schedule", "both");
@@ -68,4 +69,7 @@ int main(int argc, char** argv) {
     render("reordered schedule (Section VI)", stream, result, trace);
   }
   return 0;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -7,12 +7,13 @@
 //                      [--out=64] [--k=3] [--top=8]
 
 #include <cstdio>
+#include <exception>
 
 #include "src/conv/swconv.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   namespace conv = swdnn::conv;
   namespace perf = swdnn::perf;
   using swdnn::util::fmt_double;
@@ -66,4 +67,7 @@ int main(int argc, char** argv) {
                 1e3 * best.estimate.seconds_for(shape.flops()));
   }
   return 0;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -9,13 +9,14 @@
 // Usage: quickstart [--mesh=2|4|8] [--batch=8]
 
 #include <cstdio>
+#include <exception>
 
 #include "src/conv/reference.h"
 #include "src/conv/swconv.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   namespace conv = swdnn::conv;
   swdnn::util::CliArgs args(argc, argv);
 
@@ -71,4 +72,7 @@ int main(int argc, char** argv) {
               100.0 * choice.estimate.gflops_chip /
                   paper_sw.spec().peak_gflops_per_chip());
   return 0;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

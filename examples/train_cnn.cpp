@@ -8,6 +8,7 @@
 //                  [--backend=host|mesh] [--eager=on]
 
 #include <cstdio>
+#include <exception>
 
 #include "src/dnn/convolution.h"
 #include "src/dnn/fully_connected.h"
@@ -17,7 +18,7 @@
 #include "src/dnn/trainer.h"
 #include "src/util/cli.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   namespace dnn = swdnn::dnn;
   swdnn::util::CliArgs args(argc, argv);
   const int steps = static_cast<int>(args.get_int("steps", 80));
@@ -82,4 +83,7 @@ int main(int argc, char** argv) {
   std::printf("\nheld-out accuracy: %.2f (chance: %.2f)\n", accuracy,
               1.0 / classes);
   return accuracy > 1.5 / classes ? 0 : 1;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

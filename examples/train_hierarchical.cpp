@@ -8,6 +8,7 @@
 // Usage: train_hierarchical [--nodes=4] [--cgs=4] [--steps=12]
 
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -42,7 +43,7 @@ std::unique_ptr<dnn::Network> make_replica() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   swdnn::util::CliArgs args(argc, argv);
   const int nodes = static_cast<int>(args.get_int("nodes", 4));
   const int cgs = static_cast<int>(args.get_int("cgs", 4));
@@ -128,4 +129,7 @@ int main(int argc, char** argv) {
               "param divergence %.1e (must be exactly 0)\n",
               pipe_loss, ref_loss, pp.max_param_divergence(*ref_net));
   return 0;
+} catch (const std::exception& e) {  // e.g. a malformed numeric flag
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/conv/backward.h"
-#include "src/conv/epilogue.h"
 #include "src/conv/im2col.h"
 #include "src/conv/swconv.h"
 #include "src/tensor/pool.h"
@@ -41,7 +40,6 @@ struct Handle {
   // Configuration flags. Atomic because Network::compile sets them on a
   // handle that other threads' compiles and steps may share.
   std::atomic<bool> autotune{false};
-  std::atomic<bool> autotune_measured{false};  // confirm winners by timing
   std::uint64_t autotuned = 0;     // shapes tuned; guarded by mutex
 
   // Staging-tensor recycler: wrapped inputs, outputs, and the im2col
@@ -223,15 +221,6 @@ Status convolution_forward(Handle* handle, const TensorDescriptor& x_desc,
                            const double* x, const FilterDescriptor& w_desc,
                            const double* w, const TensorDescriptor& y_desc,
                            double* y) {
-  return convolution_forward_ex(handle, x_desc, x, w_desc, w, y_desc, y,
-                                nullptr);
-}
-
-Status convolution_forward_ex(Handle* handle, const TensorDescriptor& x_desc,
-                              const double* x, const FilterDescriptor& w_desc,
-                              const double* w, const TensorDescriptor& y_desc,
-                              double* y,
-                              const ConvolutionEpilogue* epilogue) {
   if (handle == nullptr || x == nullptr || w == nullptr || y == nullptr) {
     return Status::kBadParam;
   }
@@ -322,12 +311,6 @@ Status convolution_forward_ex(Handle* handle, const TensorDescriptor& x_desc,
       ++handle->host_fallbacks;
       handle->last_route = ExecutionRoute::kHostGemm;
       handle->last_plan = PlanAlgo::kNone;
-    }
-    // The fused epilogue runs after route resolution, so the fault
-    // ladder above is route-for-route identical to the unfused call.
-    if (epilogue != nullptr) {
-      const conv::ConvEpilogue ep{epilogue->bias, epilogue->relu_mask};
-      conv::apply_epilogue(output->data().data(), shape, ep);
     }
     std::copy(output->data().begin(), output->data().end(), y);
   } catch (const std::exception& e) {
@@ -498,6 +481,7 @@ Status convolution_backward_filter(Handle* handle,
       handle->dma_retries += stats.dma_retries;
       set_error_locked(handle, "");  // clean success clears stale errors
       handle->last_route = ExecutionRoute::kSimulatedMesh;
+      handle->last_plan = PlanAlgo::kNone;  // per-tap GEMMs, no cached plan
     }
     std::copy(dfilter->data().begin(), dfilter->data().end(), dw);
   } catch (const std::exception& e) {
@@ -526,27 +510,6 @@ Status convolution_plan_warmup(Handle* handle,
     if (handle->autotune) {
       for (const conv::ConvShape& key :
            {shape, conv::backward_data_shape(shape)}) {
-        if (handle->autotune_measured) {
-          // Measured mode: the schedule search runs first, then the
-          // top modeled candidates are confirmed with timed simulator
-          // launches; a reorder means measurement overruled the model.
-          const std::optional<perf::MeasuredAutotuneReport> report =
-              handle->sw.autotune_plan_measured(key);
-          if (handle->tracer != nullptr) {
-            std::string what = "tune_cached";
-            if (report.has_value()) {
-              what = "tune_measured " + key.to_string() + " candidates=" +
-                     std::to_string(report->candidates.size());
-              if (report->reordered) what += " measured_reorder";
-            }
-            handle->tracer->record_instant(0, "autotune", what.c_str());
-          }
-          if (report.has_value()) {
-            std::lock_guard<std::mutex> lock(handle->mutex);
-            ++handle->autotuned;
-          }
-          continue;
-        }
         const std::optional<perf::AutotuneReport> report =
             handle->sw.autotune_plan(key);
         if (handle->tracer != nullptr) {
@@ -575,12 +538,6 @@ Status convolution_plan_warmup(Handle* handle,
 Status set_autotune(Handle* handle, bool enable) {
   if (handle == nullptr) return Status::kBadParam;
   handle->autotune = enable;
-  return Status::kSuccess;
-}
-
-Status set_autotune_measured(Handle* handle, bool enable) {
-  if (handle == nullptr) return Status::kBadParam;
-  handle->autotune_measured = enable;
   return Status::kSuccess;
 }
 

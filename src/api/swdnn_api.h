@@ -106,29 +106,6 @@ Status convolution_forward(Handle* handle, const TensorDescriptor& x_desc,
                            const double* w, const TensorDescriptor& y_desc,
                            double* y);
 
-/// Optional fused epilogue for convolution_forward_ex: bias add and
-/// ReLU applied to y inside the call, while the output is still hot —
-/// what the graph compiler's fusion pass dispatches for a collapsed
-/// conv+bias+ReLU node. Element-for-element the same arithmetic as the
-/// separate layer passes, so fused output is bitwise-identical.
-struct ConvolutionEpilogue {
-  /// Per-output-channel bias, length w_desc.no; nullptr = no bias.
-  const double* bias = nullptr;
-  /// When non-null, ReLU runs after the bias and the activation mask
-  /// (1.0 where pre-ReLU > 0, else 0.0) is written here; length = the
-  /// y element count. nullptr = no activation.
-  double* relu_mask = nullptr;
-};
-
-/// convolution_forward plus an optional fused epilogue. The epilogue is
-/// applied after route resolution (mesh winner, ranked fallback, or
-/// host GEMM), so the fault-degradation ladder is identical to the
-/// unfused call; `epilogue` may be nullptr or empty for plain forward.
-Status convolution_forward_ex(Handle* handle, const TensorDescriptor& x_desc,
-                              const double* x, const FilterDescriptor& w_desc,
-                              const double* w, const TensorDescriptor& y_desc,
-                              double* y, const ConvolutionEpilogue* epilogue);
-
 /// One request of a batched dispatch: descriptors, buffers, and the
 /// per-request outcome slot.
 struct ForwardWorkItem {
@@ -186,19 +163,11 @@ Status convolution_plan_warmup(Handle* handle,
 /// (register blocking, DMA promotion) with the performance model as
 /// cost oracle and install the tuned plans in the cache, so warm
 /// dispatches serve tuned schedules. Outputs are unaffected — the
-/// tuned knobs never change what the functional kernels compute.
+/// tuned knobs never change what the functional kernels compute. The
+/// measured protocol (timed simulator launches) is not an API mode; it
+/// is conv::SwConvolution::autotune_plan_measured.
 /// Configuration-phase call: do not race with in-flight convolutions.
 Status set_autotune(Handle* handle, bool enable);
-
-/// Upgrades autotuning (set_autotune) to the measured protocol: the
-/// warm-up still runs the modeled schedule search, then confirms the
-/// top two mesh-executable candidates (preferring a cross-family pair)
-/// with timed simulator launches on synthetic data and swaps them in
-/// the installed ranking when the runner-up measures strictly faster —
-/// an explicit, reported reorder (the trace instant carries
-/// "measured_reorder"). No effect while set_autotune is off.
-/// Configuration-phase call: do not race with in-flight convolutions.
-Status set_autotune_measured(Handle* handle, bool enable);
 
 /// Number of distinct shapes the autotuner has tuned on this handle.
 std::uint64_t autotuned_shapes(const Handle* handle);
@@ -229,8 +198,9 @@ enum class PlanAlgo {
 const char* plan_algo_name(PlanAlgo algo);
 
 /// The PlanKind of the cached plan that executed the last mesh-routed
-/// convolution on this handle (kNone when the last call took the host
-/// route or nothing ran yet).
+/// convolution on this handle. kNone when the last call took the host
+/// route, was a mesh backward-filter (its per-tap GEMMs run no cached
+/// plan), or nothing ran yet.
 PlanAlgo last_plan_algo(const Handle* handle);
 
 struct PlanCacheCounters {

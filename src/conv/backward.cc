@@ -133,21 +133,7 @@ sim::LaunchStats mesh_backward_filter(sim::MeshExecutor& exec,
           d_filter.at(kr, kc, ni, no) =
               dw_slice[static_cast<std::size_t>(ni * shape.no + no)];
 
-      total.max_compute_cycles += stats.max_compute_cycles;
-      total.total_flops += stats.total_flops;
-      total.regcomm_messages += stats.regcomm_messages;
-      total.dma.get_bytes += stats.dma.get_bytes;
-      total.dma.put_bytes += stats.dma.put_bytes;
-      total.dma.requests += stats.dma.requests;
-      total.dma_seconds += stats.dma_seconds;
-      total.compute_seconds += stats.compute_seconds;
-      total.fault_events += stats.fault_events;
-      total.dma_retries += stats.dma_retries;
-      if (stats.failed && !total.failed) {
-        total.failed = true;
-        total.persistent_fault = stats.persistent_fault;
-        total.failure = stats.failure;
-      }
+      total.accumulate(stats);
     }
   }
   return total;

@@ -20,25 +20,6 @@ std::int64_t resolve_ro_end(const ConvShape& shape, std::int64_t ro_end) {
   return ro_end < 0 ? shape.ro() : ro_end;
 }
 
-void merge_stats(sim::LaunchStats& into, const sim::LaunchStats& s) {
-  into.max_compute_cycles += s.max_compute_cycles;
-  into.total_flops += s.total_flops;
-  into.regcomm_messages += s.regcomm_messages;
-  into.dma.get_bytes += s.dma.get_bytes;
-  into.dma.put_bytes += s.dma.put_bytes;
-  into.dma.requests += s.dma.requests;
-  into.dma.misaligned_requests += s.dma.misaligned_requests;
-  into.dma_seconds += s.dma_seconds;
-  into.compute_seconds += s.compute_seconds;
-  into.fault_events += s.fault_events;
-  into.dma_retries += s.dma_retries;
-  if (s.failed) {
-    into.failed = true;
-    into.persistent_fault = s.persistent_fault;
-    into.failure = s.failure;
-  }
-}
-
 }  // namespace
 
 sim::LaunchStats run_filter_grained(sim::MeshExecutor& exec,
@@ -111,7 +92,7 @@ sim::LaunchStats run_filter_grained(sim::MeshExecutor& exec,
     const sim::LaunchStats stats =
         mesh_gemm(exec, w_matrix, col, panel, no, big_k, w,
                   {.accumulate = false, .k_chunk = k_chunk});
-    merge_stats(total, stats);
+    total.accumulate(stats);
     if (total.failed) return total;
 
     // Scatter the [No x w] panel back into [Ro][Co][No][B] (again in

@@ -5,10 +5,9 @@
 //
 // Both cache the activation output (their backward needs only y), are
 // allocation-free on the compiled path once plan() has presized that
-// cache, and can ride a conv/FC node as a fused epilogue: the producer
-// computes the linear output and runs forward_view over it in place —
-// the kernel the unfused layer runs, so fused output is
-// bitwise-identical.
+// cache, and can ride a conv/FC node as a fused epilogue: the node runs
+// forward_view in place over the producer's output — the kernel the
+// unfused layer runs, so fused output is bitwise-identical.
 
 #include "src/dnn/layer.h"
 

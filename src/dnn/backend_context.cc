@@ -43,6 +43,17 @@ BackendContext::~BackendContext() {
   if (handle_ != nullptr) api::destroy(handle_);
 }
 
+void BackendContext::check(api::Status status, const char* call) const {
+  if (status == api::Status::kSuccess) return;
+  std::string message = std::string(call) + ": " + api::status_string(status);
+  // A rejected argument leaves the handle's diagnostic to an older call.
+  if (status != api::Status::kBadParam &&
+      status != api::Status::kShapeMismatch) {
+    message += std::string(": ") + api::last_error_message(handle_);
+  }
+  throw BackendError(status, message);
+}
+
 conv::ConvShape BackendContext::fc_shape(std::int64_t in_features,
                                          std::int64_t out_features,
                                          std::int64_t batch) {
@@ -59,80 +70,46 @@ conv::ConvShape BackendContext::fc_shape(std::int64_t in_features,
 
 void BackendContext::warm_conv_plan(const conv::ConvShape& shape) {
   const ConvDescriptors d = descriptors_for(shape);
-  const api::Status s = api::convolution_plan_warmup(handle_, d.x, d.w);
-  if (s != api::Status::kSuccess) {
-    throw BackendError(s, std::string("plan warm-up failed: ") +
-                              api::last_error_message(handle_));
-  }
+  check(api::convolution_plan_warmup(handle_, d.x, d.w),
+        "convolution_plan_warmup");
 }
 
 void BackendContext::conv_forward(const conv::ConvShape& shape,
                                   const double* x, const double* w,
                                   double* y) {
   const ConvDescriptors d = descriptors_for(shape);
-  const api::Status s =
-      api::convolution_forward(handle_, d.x, x, d.w, w, d.y, y);
-  if (s != api::Status::kSuccess) {
-    throw BackendError(s, std::string("convolution_forward: ") +
-                              api::status_string(s) + ": " +
-                              api::last_error_message(handle_));
-  }
-}
-
-void BackendContext::conv_forward_fused(const conv::ConvShape& shape,
-                                        const double* x, const double* w,
-                                        double* y, const double* bias,
-                                        double* relu_mask) {
-  const ConvDescriptors d = descriptors_for(shape);
-  api::ConvolutionEpilogue epilogue;
-  epilogue.bias = bias;
-  epilogue.relu_mask = relu_mask;
-  const api::Status s =
-      api::convolution_forward_ex(handle_, d.x, x, d.w, w, d.y, y, &epilogue);
-  if (s != api::Status::kSuccess) {
-    throw BackendError(s, std::string("convolution_forward_ex: ") +
-                              api::status_string(s) + ": " +
-                              api::last_error_message(handle_));
-  }
+  check(api::convolution_forward(handle_, d.x, x, d.w, w, d.y, y),
+        "convolution_forward");
 }
 
 void BackendContext::conv_backward_data(const conv::ConvShape& shape,
                                         const double* w, const double* dy,
                                         double* dx) {
   const ConvDescriptors d = descriptors_for(shape);
-  const api::Status s =
-      api::convolution_backward_data(handle_, d.w, w, d.y, dy, d.x, dx);
-  if (s != api::Status::kSuccess) {
-    throw BackendError(s, std::string("convolution_backward_data: ") +
-                              api::status_string(s) + ": " +
-                              api::last_error_message(handle_));
-  }
+  check(api::convolution_backward_data(handle_, d.w, w, d.y, dy, d.x, dx),
+        "convolution_backward_data");
 }
 
 void BackendContext::conv_backward_filter(const conv::ConvShape& shape,
                                           const double* x, const double* dy,
                                           double* dw) {
   const ConvDescriptors d = descriptors_for(shape);
-  const api::Status s =
-      api::convolution_backward_filter(handle_, d.x, x, d.y, dy, d.w, dw);
-  if (s != api::Status::kSuccess) {
-    throw BackendError(s, std::string("convolution_backward_filter: ") +
-                              api::status_string(s) + ": " +
-                              api::last_error_message(handle_));
-  }
+  check(api::convolution_backward_filter(handle_, d.x, x, d.y, dy, d.w, dw),
+        "convolution_backward_filter");
 }
 
 void BackendContext::set_event_tracer(sim::EventTracer* tracer) {
-  api::set_event_tracer(handle_, tracer);
+  check(api::set_event_tracer(handle_, tracer), "set_event_tracer");
 }
 
 void BackendContext::set_fault_plan(const sim::FaultPlan* plan) {
-  api::set_fault_plan(handle_, plan);
+  check(api::set_fault_plan(handle_, plan), "set_fault_plan");
 }
 
 void BackendContext::set_retry_policy(int max_attempts,
                                       std::uint64_t backoff_cycles) {
-  api::set_retry_policy(handle_, max_attempts, backoff_cycles);
+  check(api::set_retry_policy(handle_, max_attempts, backoff_cycles),
+        "set_retry_policy");
 }
 
 void BackendContext::set_autotune(bool enable) {

@@ -7,8 +7,9 @@
 // cache, fault-retry/host-GEMM ladder, and event tracer, exactly the
 // way a framework integration would hold one library handle per
 // process. Fully-connected layers ride the same funnel by expressing
-// themselves as 1x1 convolutions (fc_shape), so the API boundary is the
-// only dispatch point in the compiled path.
+// themselves as 1x1 convolutions (fc_shape). A kHostIm2col conv keeps
+// its own im2col route (convolution.h) and is the one heavy op that
+// does not dispatch here.
 //
 // Threading: the conv_* execution wrappers inherit the Handle contract —
 // N threads may call them concurrently on one context (the per-call
@@ -20,13 +21,14 @@
 // concurrent-call guarantee covers; its configuration still happens
 // between steps, outside any dispatch.
 //
-// Error policy: a non-success API status becomes a thrown BackendError
-// carrying the status and the handle's diagnostic. Recorded
-// degradations (host-GEMM fallback, ranked-plan fallback) are
-// kSuccess at the API boundary and therefore do NOT throw — they are
-// visible via fault_counters()/last_execution_route(). The throw
-// composes with Trainer::train_step_resilient, whose checkpoint
-// rollback is the layer above this ladder's last rung.
+// Error policy: a non-success API status, from an execution wrapper or
+// a configuration call alike, becomes a thrown BackendError carrying
+// the status and the handle's diagnostic. Recorded degradations
+// (host-GEMM fallback, ranked-plan fallback) are kSuccess at the API
+// boundary and therefore do NOT throw — they are visible via
+// fault_counters()/last_execution_route(). The throw composes with
+// Trainer::train_step_resilient, whose checkpoint rollback is the
+// layer above this ladder's last rung.
 
 #include <cstdint>
 #include <stdexcept>
@@ -73,21 +75,14 @@ class BackendContext {
   // configuration space). Throws BackendError on a non-success status.
   void conv_forward(const conv::ConvShape& shape, const double* x,
                     const double* w, double* y);
-  /// Forward plus a fused epilogue applied inside the API call while the
-  /// output is hot: `bias` (per-output-channel, length shape.no, may be
-  /// nullptr) and, when `relu_mask` is non-null, ReLU with the 0/1 mask
-  /// written there (length = output element count). The arithmetic is
-  /// element-for-element the unfused layers', so results are
-  /// bitwise-identical; the fault ladder is the plain call's.
-  void conv_forward_fused(const conv::ConvShape& shape, const double* x,
-                          const double* w, double* y, const double* bias,
-                          double* relu_mask);
   void conv_backward_data(const conv::ConvShape& shape, const double* w,
                           const double* dy, double* dx);
   void conv_backward_filter(const conv::ConvShape& shape, const double* x,
                             const double* dy, double* dw);
 
   // Configuration passthroughs (configuration-phase: no in-flight work).
+  // Throw BackendError when the API rejects the setting (e.g. a retry
+  // policy of fewer than one attempt); the old setting stays.
   void set_event_tracer(sim::EventTracer* tracer);
   void set_fault_plan(const sim::FaultPlan* plan);
   void set_retry_policy(int max_attempts, std::uint64_t backoff_cycles);
@@ -104,6 +99,9 @@ class BackendContext {
   std::uint64_t autotuned_shapes() const;
 
  private:
+  /// Throws BackendError naming `call` unless `status` is kSuccess.
+  void check(api::Status status, const char* call) const;
+
   api::Handle* handle_ = nullptr;
 };
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/conv/backward.h"
-#include "src/conv/epilogue.h"
 #include "src/conv/im2col.h"
 #include "src/conv/reference.h"
 #include "src/dnn/backend_context.h"
@@ -129,7 +128,7 @@ void Convolution::plan(const std::vector<std::int64_t>& input_dims) {
 }
 
 // Route fidelity: a kHostIm2col layer's compiled path must run the
-// same im2col kernel its eager twin runs. It used to be safe to send
+// same im2col kernels its eager twin runs. It used to be safe to send
 // every compiled conv through the API — ragged shapes had no mesh
 // mapping, so the API landed on the host im2col fallback anyway — but
 // the multigrain mappings (pixel-grained in particular) make almost
@@ -137,88 +136,46 @@ void Convolution::plan(const std::vector<std::int64_t>& input_dims) {
 // in reference (kr,kc,ni) order while im2col lowers K as (ni,kr,kc):
 // correct to 1e-15 but not bitwise. The compiled/eager bitwise
 // differential therefore requires the layer's declared backend to pick
-// the route, not the plan chooser.
+// the route, not the plan chooser. The host views stage through
+// presized members and a private pool, so a steady-state compiled step
+// mints no tensors; host_in_ keeps the step's input for backward_view.
 void Convolution::forward_view(const tensor::TensorView& input,
                                tensor::TensorView& output) {
-  if (!use_api() || backend_ == ConvBackend::kHostIm2col) {
-    output.copy_from(forward(input.to_tensor()));  // direct route
-    return;
-  }
-  input_view_ = input;  // liveness: the planner pins it to our backward
-  context_->conv_forward(shape_, input.data().data(), filter_.data().data(),
-                         output.data().data());
-  if (with_bias_) add_bias(output.data(), bias_, shape_);
-}
-
-void Convolution::forward_view_fused(const tensor::TensorView& input,
-                                     tensor::TensorView& output,
-                                     Layer& epilogue) {
-  // Mask epilogues (ReLU) fold into the backend dispatch — bias add and
-  // activation run while the output is hot and the mask is written in
-  // the same pass. Cached-output epilogues (tanh, sigmoid) get the
-  // bias folded in and the nonlinearity applied in place right after.
-  double* mask = epilogue.epilogue_mask_data();
   if (backend_ == ConvBackend::kHostIm2col) {
-    // Same route-fidelity rule as forward_view: fuse on the host so
-    // the node stays bitwise-equal to its eager twin (apply_epilogue
-    // is element-for-element the unfused bias+ReLU arithmetic).
     ensure_host_scratch();
     std::copy(input.data().begin(), input.data().end(),
               host_in_.data().begin());
-    host_out_.zero();
     conv::im2col_forward(host_in_, filter_, host_out_, shape_, &host_pool_);
-    const conv::ConvEpilogue ep{
-        with_bias_ ? bias_.data().data() : nullptr, mask};
-    conv::apply_epilogue(host_out_.data().data(), shape_, ep);
     output.copy_from(host_out_);
-    if (mask == nullptr) epilogue.forward_view(output, output);
+  } else if (use_api()) {
+    input_view_ = input;  // liveness: the planner pins it to our backward
+    context_->conv_forward(shape_, input.data().data(), filter_.data().data(),
+                           output.data().data());
+  } else {
+    output.copy_from(forward(input.to_tensor()));  // direct route
     return;
   }
-  input_view_ = input;  // liveness: the planner pins it to our backward
-  context_->conv_forward_fused(shape_, input.data().data(),
-                               filter_.data().data(), output.data().data(),
-                               with_bias_ ? bias_.data().data() : nullptr,
-                               mask);
-  if (mask == nullptr) epilogue.forward_view(output, output);
+  if (with_bias_) add_bias(output.data(), bias_, shape_);
 }
 
-void Convolution::backward_view_fused(tensor::TensorView& d_output,
-                                      tensor::TensorView& d_input,
-                                      Layer& epilogue) {
-  // dLoss/dEpilogueOut -> dLoss/dConvOut in place; that gradient value
-  // is dead after this node's backward, so the clobber is safe.
-  epilogue.backward_view(d_output, d_output);
+void Convolution::backward_view(const tensor::TensorView& d_output,
+                                tensor::TensorView& d_input) {
+  if (backend_ == ConvBackend::kSimulatedMesh && !use_api()) {
+    d_input.copy_from(backward(d_output.to_tensor()));  // direct route
+    return;
+  }
   if (with_bias_) bias_gradient(d_output.data(), d_bias_, shape_);
   if (backend_ == ConvBackend::kHostIm2col) {
-    // Host-backend gradients stay on the eager im2col kernels (route
-    // fidelity; see forward_view). host_in_ still holds this step's
-    // input from the fused forward.
     ensure_host_scratch();
     std::copy(d_output.data().begin(), d_output.data().end(),
               host_dout_.data().begin());
     conv::im2col_backward_filter(host_in_, host_dout_, d_filter_, shape_,
                                  &host_pool_);
-    host_din_.zero();
     conv::im2col_backward_data(host_dout_, filter_, host_din_, shape_,
                                &host_pool_);
     d_input.copy_from(host_din_);
     return;
   }
-  context_->conv_backward_filter(shape_, input_view_.data().data(),
-                                 d_output.data().data(),
-                                 d_filter_.data().data());
-  context_->conv_backward_data(shape_, filter_.data().data(),
-                               d_output.data().data(),
-                               d_input.data().data());
-}
-
-void Convolution::backward_view(const tensor::TensorView& d_output,
-                                tensor::TensorView& d_input) {
-  if (!use_api() || backend_ == ConvBackend::kHostIm2col) {
-    d_input.copy_from(backward(d_output.to_tensor()));  // direct route
-    return;
-  }
-  if (with_bias_) bias_gradient(d_output.data(), d_bias_, shape_);
   context_->conv_backward_filter(shape_, input_view_.data().data(),
                                  d_output.data().data(),
                                  d_filter_.data().data());

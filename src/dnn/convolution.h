@@ -1,12 +1,13 @@
 #pragma once
-// Convolution layer (valid, stride 1) over [R][C][N][B] activations.
+// Convolution layer (valid) over [R][C][N][B] activations.
 //
 // Forward runs the im2col+GEMM host path by default — the functional
 // route that is practical at training sizes on the host — and can be
 // switched to the simulated-mesh path (SwConvolution) to exercise the
 // full SW26010 pipeline on mesh-compatible shapes. Both are checked
-// against the naive reference in tests. Backward uses the reference
-// gradient kernels.
+// against the naive reference in tests. Backward lowers both gradients
+// to GEMMs: im2col on the host, backward-data as a forward convolution
+// and per-tap mesh GEMMs on the simulated mesh.
 
 #include <optional>
 
@@ -37,13 +38,14 @@ class Convolution : public Layer {
   tensor::Tensor backward(const tensor::Tensor& d_output) override;
   std::vector<ParamGrad> params() override;
 
-  // Compiled path: all three heavy ops dispatch through the shared
-  // BackendContext handle (plan cache + fault ladder + tracer) instead
-  // of calling conv:: backends directly; the arena keeps this layer's
-  // input alive until its backward step, so no copy-cache is taken.
-  // Strided shapes sit outside the API's configuration space, and a
-  // kHostIm2col layer keeps its route: both run the eager forward/
-  // backward (the direct reference route) over the views.
+  // Views. A kHostIm2col layer runs the eager im2col kernels, staged
+  // through presized scratch and a private pool (allocation-free, any
+  // stride). A kSimulatedMesh layer dispatches all three heavy ops
+  // through the shared BackendContext handle (plan cache + fault
+  // ladder + tracer); the arena keeps its input alive until its
+  // backward step, so no copy-cache is taken. Off the API route
+  // (strided, or unbound) it runs the eager forward/backward over the
+  // views.
   std::vector<std::int64_t> infer_shape(
       const std::vector<std::int64_t>& input_dims) override;
   bool backward_needs_input() const override { return true; }
@@ -55,16 +57,8 @@ class Convolution : public Layer {
                      tensor::TensorView& d_input) override;
 
   // Graph fusion: on the API route a following elementwise epilogue
-  // (ReLU via the backend's fused mask epilogue; tanh/sigmoid applied
-  // in place right after the dispatch) collapses into this layer's
-  // node — one backend call, bitwise-identical output.
+  // shares this layer's node and runs in place over its output.
   bool supports_fused_epilogue() const override { return use_api(); }
-  void forward_view_fused(const tensor::TensorView& input,
-                          tensor::TensorView& output,
-                          Layer& epilogue) override;
-  void backward_view_fused(tensor::TensorView& d_output,
-                           tensor::TensorView& d_input,
-                           Layer& epilogue) override;
 
   const tensor::Tensor& filter() const { return filter_; }
   tensor::Tensor& mutable_filter() { return filter_; }
@@ -96,11 +90,8 @@ class Convolution : public Layer {
   BackendContext* context_ = nullptr;     // set by bind()
   tensor::TensorView input_view_;         // the arena keeps it live
 
-  // Host-route compiled scratch: a kHostIm2col layer's fused node runs
-  // the eager im2col kernels directly (route fidelity — the multigrain
-  // mesh mappings accept shapes the host route must keep), staged
-  // through presized members and a private pool so steady-state
-  // compiled steps mint zero tensors. Sized on first fused call.
+  // A kHostIm2col layer's view scratch (route fidelity: see
+  // forward_view), sized on the first view call.
   void ensure_host_scratch();
   tensor::Tensor host_in_, host_out_, host_dout_, host_din_;
   tensor::TensorPool host_pool_;

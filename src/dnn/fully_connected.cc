@@ -189,32 +189,6 @@ void FullyConnected::forward_view(const tensor::TensorView& input,
   }
 }
 
-void FullyConnected::forward_view_fused(const tensor::TensorView& input,
-                                        tensor::TensorView& output,
-                                        Layer& epilogue) {
-  input_view_ = input;  // liveness: the planner pins it to our backward
-  transpose(weights_.data(), w_t_, out_features_, in_features_);
-  double* mask = epilogue.epilogue_mask_data();
-  context_->conv_forward_fused(api_shape_, input.data().data(), w_t_.data(),
-                               output.data().data(), bias_.data().data(),
-                               mask);
-  if (mask == nullptr) epilogue.forward_view(output, output);
-}
-
-void FullyConnected::backward_view_fused(tensor::TensorView& d_output,
-                                         tensor::TensorView& d_input,
-                                         Layer& epilogue) {
-  // dLoss/dActOut -> dLoss/dLinearOut in place; dead after this node.
-  epilogue.backward_view(d_output, d_output);
-  bias_gradient(d_output.data(), d_bias_, api_shape_.batch);
-  context_->conv_backward_filter(api_shape_, input_view_.data().data(),
-                                 d_output.data().data(), dw_t_.data());
-  transpose(dw_t_, d_weights_.data(), in_features_, out_features_);
-  context_->conv_backward_data(api_shape_, w_t_.data(),
-                               d_output.data().data(),
-                               d_input.data().data());
-}
-
 void FullyConnected::backward_view(const tensor::TensorView& d_output,
                                    tensor::TensorView& d_input) {
   if (context_ == nullptr) {

@@ -42,19 +42,11 @@ class FullyConnected : public Layer {
   void backward_view(const tensor::TensorView& d_output,
                      tensor::TensorView& d_input) override;
 
-  // Graph fusion: a following elementwise activation collapses into
-  // this layer's node. The [out][B] output flattens exactly as the
-  // 1x1-conv [1][1][out][B] view, so the backend's flat bias/ReLU
-  // epilogue is element-for-element the layer loops — bitwise-equal.
+  // Graph fusion: once bound, a following elementwise activation
+  // shares this layer's node and runs in place over its output.
   bool supports_fused_epilogue() const override {
     return context_ != nullptr;
   }
-  void forward_view_fused(const tensor::TensorView& input,
-                          tensor::TensorView& output,
-                          Layer& epilogue) override;
-  void backward_view_fused(tensor::TensorView& d_output,
-                           tensor::TensorView& d_input,
-                           Layer& epilogue) override;
 
   const tensor::Tensor& weights() const { return weights_; }
   const tensor::Tensor& bias() const { return bias_; }

@@ -49,12 +49,11 @@ void GraphIR::fuse_epilogues(const std::vector<LayerPtr>& layers,
       Layer& epilogue = *layers[nodes_[i + 1].first_layer];
       if (producer.supports_fused_epilogue() &&
           epilogue.is_fusible_epilogue()) {
-        node.kind = producer.name() == "conv" ? NodeKind::kFusedConvAct
-                                              : NodeKind::kFusedFcAct;
+        node.kind = NodeKind::kFusedAct;
         node.last_layer = nodes_[i + 1].first_layer;
         node.name += "+" + nodes_[i + 1].name;
         node.output_value = nodes_[i + 1].output_value;
-        if (node.kind == NodeKind::kFusedConvAct) {
+        if (producer.name() == "conv") {
           ++stats_.fused_conv_act;
         } else {
           ++stats_.fused_fc_act;

@@ -7,18 +7,19 @@
 // list to walk:
 //
 //   * epilogue fusion: a conv/FC producer followed by an elementwise
-//     activation collapses into ONE node that dispatches a single
-//     backend call with a fused epilogue (bias + activation applied
-//     while the output is hot). The intermediate activation value
-//     disappears from the graph, so the arena never materializes it.
+//     activation collapses into ONE node. Fusion is a schedule only:
+//     the node runs the producer's kernel into its output slot, then
+//     the activation's kernel in place over it. The intermediate
+//     activation value disappears from the graph, so the arena never
+//     materializes it.
 //   * pad elision: a zero-pad node keeps its output slot pinned for the
 //     whole step; the borders are zeroed once at compile and each step
 //     writes only the interior, eliding the per-step full-tensor zero.
 //
-// Passes never change results: fused arithmetic is element-for-element
-// the unfused layers' (the differential suite asserts bitwise equality
-// against eager), and a pattern that cannot be proven safe (strided
-// conv off the API route, non-adjacent pairs) is simply left unfused.
+// Passes never change results: a fused node runs the unfused layers'
+// own kernels (the differential suite asserts bitwise equality against
+// eager), and a pattern that cannot be proven safe (strided conv off
+// the API route, non-adjacent pairs) is simply left unfused.
 
 #include <cstddef>
 #include <string>
@@ -33,10 +34,9 @@ class EventTracer;
 namespace swdnn::dnn {
 
 enum class NodeKind {
-  kSingle,        ///< one layer, dispatched via forward_view
-  kFusedConvAct,  ///< conv + activation epilogue, one backend call
-  kFusedFcAct,    ///< FC + activation epilogue, one backend call
-  kElidedPad,     ///< zero-pad with pinned output slot, interior-only copy
+  kSingle,     ///< one layer, dispatched via forward_view
+  kFusedAct,   ///< conv/FC + activation epilogue in place on one slot
+  kElidedPad,  ///< zero-pad with pinned output slot, interior-only copy
 };
 
 /// One executable node: a contiguous run of layers [first_layer,

@@ -37,21 +37,4 @@ std::vector<std::int64_t> Layer::infer_shape(
   return input_dims;
 }
 
-void Layer::forward_view_fused(const tensor::TensorView& input,
-                               tensor::TensorView& output, Layer& epilogue) {
-  (void)input;
-  (void)output;
-  (void)epilogue;
-  throw std::logic_error(name() + ": does not support a fused epilogue");
-}
-
-void Layer::backward_view_fused(tensor::TensorView& d_output,
-                                tensor::TensorView& d_input,
-                                Layer& epilogue) {
-  (void)d_output;
-  (void)d_input;
-  (void)epilogue;
-  throw std::logic_error(name() + ": does not support a fused epilogue");
-}
-
 }  // namespace swdnn::dnn

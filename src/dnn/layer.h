@@ -18,7 +18,8 @@
 // Convolution and FullyConnected are the exception: their eager
 // forward/backward keep the direct route (SwConvolution, im2col,
 // mesh_gemm) as the reference, and their views dispatch through the
-// shared BackendContext.
+// shared BackendContext (a kHostIm2col conv's views run its pooled
+// im2col kernels instead).
 
 #include <cstdint>
 #include <memory>
@@ -108,24 +109,19 @@ class Layer {
   //
   // The graph compiler (graph_ir.h) collapses producer+epilogue layer
   // pairs into one node and elides zero-pad copies. Layers opt in via
-  // the predicates; the fused execution entry points are only called on
-  // layers whose predicate returned true, after bind()/plan().
+  // the predicates. Fusion is a schedule over the same kernels: a fused
+  // node runs the producer's forward_view into the node's output slot,
+  // then the epilogue's forward_view in place over it; backward runs
+  // the epilogue's backward_view in place, then the producer's.
 
-  /// True when the compiled path can fold a following epilogue layer
-  /// into this layer's backend dispatch (conv/FC on the API route).
+  /// True when the compiled path may fold a following epilogue layer
+  /// into this layer's node (conv/FC on the API route).
   virtual bool supports_fused_epilogue() const { return false; }
 
   /// True when this layer can ride as the epilogue of a preceding
   /// supports_fused_epilogue() producer: elementwise over the
   /// producer's output, backward state cached internally.
   virtual bool is_fusible_epilogue() const { return false; }
-
-  /// Mask-based epilogues (ReLU) expose their presized mask buffer so
-  /// the producer's single backend dispatch can fill it in the same
-  /// pass. nullptr = the fused node runs forward_view(y, y) in place
-  /// after the linear call instead (tanh, sigmoid). Valid only after
-  /// plan(). Either way the fused backward runs backward_view(d, d).
-  virtual double* epilogue_mask_data() { return nullptr; }
 
   /// True for zero-padding layers whose compiled output slot the graph
   /// compiler pins and fills by interior copy (borders zeroed once at
@@ -139,21 +135,6 @@ class Layer {
                                    tensor::TensorView& output) {
     forward_view(input, output);
   }
-
-  /// Fused compiled forward: this layer's op plus `epilogue` in one
-  /// dispatch. Only called when supports_fused_epilogue(); default
-  /// throws.
-  virtual void forward_view_fused(const tensor::TensorView& input,
-                                  tensor::TensorView& output,
-                                  Layer& epilogue);
-
-  /// Fused compiled backward. `d_output` is clobbered in place (the
-  /// epilogue's backward runs through it first); safe because the graph
-  /// executor visits nodes in reverse order, so that gradient value is
-  /// dead once this call returns.
-  virtual void backward_view_fused(tensor::TensorView& d_output,
-                                   tensor::TensorView& d_input,
-                                   Layer& epilogue);
 
  private:
   std::vector<std::int64_t> eager_input_dims_;  ///< last forward()'s input

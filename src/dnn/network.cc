@@ -208,10 +208,11 @@ const tensor::Tensor& Network::forward_compiled(const tensor::Tensor& input) {
       case NodeKind::kSingle:
         layers_[node.first_layer]->forward_view(in, out);
         break;
-      case NodeKind::kFusedConvAct:
-      case NodeKind::kFusedFcAct:
-        layers_[node.first_layer]->forward_view_fused(
-            in, out, *layers_[node.last_layer]);
+      case NodeKind::kFusedAct:
+        // The producer writes the node's slot; the epilogue runs in
+        // place over it.
+        layers_[node.first_layer]->forward_view(in, out);
+        layers_[node.last_layer]->forward_view(out, out);
         break;
       case NodeKind::kElidedPad:
         layers_[node.first_layer]->forward_view_elided(in, out);
@@ -238,12 +239,11 @@ const tensor::Tensor& Network::backward_compiled(
     tensor::TensorView& d_in = grad_views_[node.input_value];
     const std::uint64_t begin = now_ns();
     switch (node.kind) {
-      case NodeKind::kFusedConvAct:
-      case NodeKind::kFusedFcAct:
+      case NodeKind::kFusedAct:
         // d_out is clobbered in place by the epilogue's backward; that
         // gradient value is dead once this node returns.
-        layers_[node.first_layer]->backward_view_fused(
-            d_out, d_in, *layers_[node.last_layer]);
+        layers_[node.last_layer]->backward_view(d_out, d_out);
+        layers_[node.first_layer]->backward_view(d_out, d_in);
         break;
       case NodeKind::kSingle:
       case NodeKind::kElidedPad:

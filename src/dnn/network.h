@@ -14,8 +14,9 @@
 //      API plan cache), so a compiled step dispatches its heavy ops on
 //      tuned plan-cache hits from batch one;
 //   3. a pass pipeline rewrites the graph: conv/FC + activation pairs
-//      fuse into single nodes dispatching one backend call with an
-//      epilogue, zero-pad nodes elide their per-step border zeroing;
+//      fuse into single nodes that run the activation in place over
+//      the producer's output slot, zero-pad nodes elide their per-step
+//      border zeroing;
 //   4. a node-based liveness pass places every surviving activation and
 //      gradient into the workspace arena (tensor::Arena) — tensors with
 //      disjoint lifetimes share bytes, and fused-away intermediates are
@@ -60,7 +61,8 @@ struct CompileOptions {
   /// nullptr = no tracing.
   sim::EventTracer* tracer = nullptr;
   /// Run the graph passes (epilogue fusion, pad elision). false = the
-  /// one-node-per-layer baseline, bitwise-identical results.
+  /// one-node-per-layer baseline: the same kernels, bitwise-identical
+  /// results, and still allocation-free in the steady state.
   bool fuse = true;
   /// Autotune plan schedules (register blocking, DMA promotion) during
   /// plan warm-up, with the perf model as cost oracle. Schedule-only:

@@ -18,14 +18,9 @@ class Relu : public Layer {
   void backward_view(const tensor::TensorView& d_output,
                      tensor::TensorView& d_input) override;
 
-  // Fusion: ReLU rides a conv/FC node as a mask-based epilogue — the
-  // producer's single backend dispatch applies the select and fills
-  // mask_ (the exact buffer the unfused backward reads), so fused and
-  // unfused execution share one backward implementation bitwise.
+  // Fusion: ReLU rides a conv/FC node as its epilogue, running these
+  // same kernels in place over the producer's output.
   bool is_fusible_epilogue() const override { return true; }
-  double* epilogue_mask_data() override {
-    return mask_.size() > 0 ? mask_.data().data() : nullptr;
-  }
 
  private:
   tensor::Tensor mask_;  ///< 1 where input > 0

@@ -300,6 +300,25 @@ void CpeContext::charge_cycles(std::uint64_t cycles) {
   cc = cycles > UINT64_MAX - cc ? UINT64_MAX : cc + cycles;
 }
 
+void LaunchStats::accumulate(const LaunchStats& next) {
+  max_compute_cycles += next.max_compute_cycles;
+  total_flops += next.total_flops;
+  regcomm_messages += next.regcomm_messages;
+  dma.get_bytes += next.dma.get_bytes;
+  dma.put_bytes += next.dma.put_bytes;
+  dma.requests += next.dma.requests;
+  dma.misaligned_requests += next.dma.misaligned_requests;
+  dma_seconds += next.dma_seconds;
+  compute_seconds += next.compute_seconds;
+  fault_events += next.fault_events;
+  dma_retries += next.dma_retries;
+  if (next.failed && !failed) {
+    failed = true;
+    persistent_fault = next.persistent_fault;
+    failure = next.failure;
+  }
+}
+
 MeshExecutor::MeshExecutor(const arch::Sw26010Spec& spec)
     : spec_(spec),
       mesh_(spec_),

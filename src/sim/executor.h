@@ -187,6 +187,11 @@ struct LaunchStats {
   /// Bytes that travelled over register-communication buses instead of
   /// memory (the §V-A "order of magnitude" saving shows up here).
   std::uint64_t regcomm_bytes() const { return regcomm_messages * 32; }
+
+  /// Folds the stats of a following launch into this running total, for
+  /// a kernel issued as a sequence of launches: every count and modeled
+  /// time sums, and the first failure's outcome is kept.
+  void accumulate(const LaunchStats& next);
 };
 
 class MeshExecutor {

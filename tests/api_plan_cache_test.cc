@@ -127,6 +127,24 @@ TEST_F(ApiPlanCacheTest, LastPlanAlgoReportsTheCachedChoice) {
   EXPECT_STREQ(plan_algo_name(last_plan_algo(handle_)), "filter-grained");
 }
 
+TEST_F(ApiPlanCacheTest, MeshBackwardFilterReportsNoPlan) {
+  // Backward-filter runs per-tap GEMMs, no cached plan: a mesh-routed
+  // call must not leave the previous forward's plan in last_plan_algo.
+  const Problem p;
+  forward(p);
+  ASSERT_EQ(last_plan_algo(handle_), PlanAlgo::kFilterGrained);
+
+  std::vector<double> dy(static_cast<std::size_t>(p.shape.output_elements()),
+                         1.0);
+  std::vector<double> dw(static_cast<std::size_t>(p.filter.size()));
+  ASSERT_EQ(convolution_backward_filter(handle_, p.x_desc,
+                                        p.input.data().data(), p.y_desc,
+                                        dy.data(), p.w_desc, dw.data()),
+            Status::kSuccess);
+  EXPECT_EQ(last_execution_route(handle_), ExecutionRoute::kSimulatedMesh);
+  EXPECT_EQ(last_plan_algo(handle_), PlanAlgo::kNone);
+}
+
 TEST_F(ApiPlanCacheTest, TracerSeesMissThenHit) {
   sim::EventTracer tracer;
   ASSERT_EQ(set_event_tracer(handle_, &tracer), Status::kSuccess);

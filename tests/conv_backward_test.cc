@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/conv/backward.h"
+#include "src/conv/mesh_gemm_driver.h"
 #include "src/conv/reference.h"
 #include "src/util/rng.h"
 
@@ -122,6 +125,34 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BwdCase>& info) {
       return info.param.label;
     });
+
+TEST(BackwardFilterStats, TotalIsEveryTapLaunchSummed) {
+  // One GEMM launch per filter tap, all of the same dims, so the total
+  // is Kr*Kc times one tap's launch — misaligned DMA requests included.
+  const ConvShape s = ConvShape::from_output(8, 3, 5, 6, 6, 3, 3);  // 8x8
+  util::Rng rng(64);
+  tensor::Tensor in = make_input(s);
+  tensor::Tensor dout = make_output(s);
+  rng.fill_uniform(in.data(), -1, 1);
+  rng.fill_uniform(dout.data(), -1, 1);
+
+  sim::MeshExecutor exec;
+  tensor::Tensor dw = make_filter(s);
+  const sim::LaunchStats total = mesh_backward_filter(exec, in, dout, dw, s);
+
+  const std::int64_t s_len = s.ro() * s.co() * s.batch;
+  std::vector<double> in_mat(static_cast<std::size_t>(s_len * s.ni));
+  std::vector<double> dout_mat(static_cast<std::size_t>(s_len * s.no));
+  std::vector<double> dw_tap(static_cast<std::size_t>(s.ni * s.no));
+  const sim::LaunchStats tap =
+      mesh_gemm(exec, in_mat, dout_mat, dw_tap, s.ni, s_len, s.no);
+  const auto taps = static_cast<std::uint64_t>(s.kr * s.kc);
+  ASSERT_GT(tap.dma.misaligned_requests, 0u);
+  EXPECT_EQ(total.dma.requests, taps * tap.dma.requests);
+  EXPECT_EQ(total.dma.misaligned_requests, taps * tap.dma.misaligned_requests);
+  EXPECT_EQ(total.total_flops, taps * tap.total_flops);
+  EXPECT_FALSE(total.failed);
+}
 
 TEST(BackwardRoundTrip, ForwardThenBackwardDataIsLinearAdjoint) {
   // <conv(x, w), g> == <x, backward_data(g, w)> — the adjoint identity

@@ -277,6 +277,22 @@ TEST(DnnGraph, FaultLadderEngagesDuringCompiledTrainingStep) {
   EXPECT_FALSE(healed.rolled_back);
 }
 
+TEST(DnnGraph, BackendContextRejectedConfigurationThrows) {
+  // A setting the API rejects must throw, not return as if applied.
+  BackendContext context;
+  try {
+    context.set_retry_policy(/*max_attempts=*/0, /*backoff_cycles=*/16);
+    ADD_FAILURE() << "a zero-attempt retry policy was accepted";
+  } catch (const BackendError& e) {
+    EXPECT_EQ(e.status(), api::Status::kBadParam);
+    EXPECT_NE(std::string(e.what()).find("set_retry_policy"),
+              std::string::npos);
+  }
+  EXPECT_NO_THROW(context.set_retry_policy(2, 8));
+  EXPECT_NO_THROW(context.set_fault_plan(nullptr));
+  EXPECT_NO_THROW(context.set_event_tracer(nullptr));
+}
+
 TEST(DnnGraph, EvaluateRestoresTrainingModeWithDropout) {
   // Regression: evaluate() used to leave the network in eval mode, so
   // every subsequent training step silently ran without dropout. The

@@ -78,6 +78,37 @@ TEST(DnnZeroAlloc, SteadyStateCompiledStepMintsZeroTensors) {
       << "a steady-state compiled step allocated tensors";
 }
 
+TEST(DnnZeroAlloc, UnfusedCompiledStepMintsZeroTensors) {
+  // Fusion is a schedule only: with the passes off every layer is its
+  // own node running the same view kernels, and the steady state is
+  // allocation-free all the same.
+  auto net = make_cnn();
+  CompileOptions options;
+  options.fuse = false;
+  const CompiledStats& stats = net->compile({8, 8, 2, 4}, options);
+  ASSERT_EQ(stats.graph_nodes, net->num_layers());
+  ASSERT_EQ(stats.fused_conv_act, 0u);
+
+  tensor::Tensor input({8, 8, 2, 4});
+  tensor::Tensor d_out({10, 4});
+  util::Rng rng(75);
+  rng.fill_uniform(input.data(), -1, 1);
+  rng.fill_uniform(d_out.data(), -1, 1);
+
+  auto step = [&] {
+    const tensor::Tensor& y = net->forward(input);
+    (void)y;
+    const tensor::Tensor& dx = net->backward(d_out);
+    (void)dx;
+  };
+
+  step();  // first step: pools fill, staging buffers are minted once
+  const std::uint64_t before = tensor::allocation_count();
+  for (int i = 0; i < 3; ++i) step();
+  EXPECT_EQ(tensor::allocation_count() - before, 0u)
+      << "a steady-state unfused compiled step allocated tensors";
+}
+
 TEST(DnnZeroAlloc, EagerStepsKeepAllocatingForContrast) {
   // The same network through the eager escape hatch mints tensors every
   // step — the contract above is a property of the compiled path, not

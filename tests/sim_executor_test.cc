@@ -264,6 +264,49 @@ TEST(LaunchStats, OverlapModel) {
   EXPECT_DOUBLE_EQ(s.modeled_gflops(true), 4.0);
 }
 
+TEST(LaunchStats, AccumulateSumsEveryCountAndKeepsTheFirstFailure) {
+  LaunchStats clean;
+  clean.max_compute_cycles = 5;
+  clean.total_flops = 40;
+  clean.regcomm_messages = 6;
+  clean.dma = DmaTotals{.get_bytes = 256,
+                        .put_bytes = 128,
+                        .requests = 3,
+                        .misaligned_requests = 2};
+  clean.dma_seconds = 1.5;
+  clean.compute_seconds = 0.5;
+  clean.fault_events = 1;
+  clean.dma_retries = 1;
+  LaunchStats transient;
+  transient.failed = true;
+  transient.failure = "first";
+  LaunchStats persistent;
+  persistent.failed = true;
+  persistent.persistent_fault = true;
+  persistent.failure = "second";
+
+  LaunchStats total;
+  total.accumulate(clean);
+  total.accumulate(clean);
+  EXPECT_FALSE(total.failed);
+  total.accumulate(transient);
+  total.accumulate(persistent);
+  EXPECT_EQ(total.max_compute_cycles, 10u);
+  EXPECT_EQ(total.total_flops, 80u);
+  EXPECT_EQ(total.regcomm_messages, 12u);
+  EXPECT_EQ(total.dma.get_bytes, 512u);
+  EXPECT_EQ(total.dma.put_bytes, 256u);
+  EXPECT_EQ(total.dma.requests, 6u);
+  EXPECT_EQ(total.dma.misaligned_requests, 4u);
+  EXPECT_DOUBLE_EQ(total.dma_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(total.compute_seconds, 1.0);
+  EXPECT_EQ(total.fault_events, 2u);
+  EXPECT_EQ(total.dma_retries, 2u);
+  EXPECT_TRUE(total.failed);
+  EXPECT_FALSE(total.persistent_fault);
+  EXPECT_EQ(total.failure, "first");
+}
+
 TEST(Executor, ChargeFlopsRoundsUpCycles) {
   const arch::Sw26010Spec spec = mesh_spec(2);
   MeshExecutor exec(spec);
