@@ -8,7 +8,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/conv/backward.h"
@@ -19,7 +18,9 @@
 namespace swdnn::api {
 
 struct Handle {
-  arch::Sw26010Spec spec = arch::default_spec();
+  // Every simulated launch the handle issues runs on this object's one
+  // executor, under the handle's fault injector, retry policy and
+  // tracer.
   conv::SwConvolution sw;
 
   // Guards the per-call mutable state below. Held only for short
@@ -33,7 +34,6 @@ struct Handle {
   char last_error[256] = {0};
   sim::EventTracer* tracer = nullptr;  // configuration-phase pointer
   std::unique_ptr<sim::FaultInjector> injector;
-  sim::RetryPolicy retry;
   std::uint64_t host_fallbacks = 0;
   std::uint64_t dma_retries = 0;
   std::uint64_t plan_fallbacks = 0;
@@ -47,15 +47,7 @@ struct Handle {
   // mints zero tensors per call regardless of route.
   tensor::TensorPool pool;
 
-  // Persistent executor for launches the handle issues directly (the
-  // backward-filter path); its mesh and fiber stacks survive across
-  // calls.
-  // Launches serialize on bwd_exec_mutex; convolution_forward launches
-  // go through `sw`, which owns its own executor.
-  std::mutex bwd_exec_mutex;
-  std::unique_ptr<sim::MeshExecutor> bwd_exec;
-
-  explicit Handle(const arch::Sw26010Spec& s) : spec(s), sw(s) {}
+  explicit Handle(const arch::Sw26010Spec& s) : sw(s) {}
 };
 
 namespace {
@@ -320,40 +312,6 @@ Status convolution_forward(Handle* handle, const TensorDescriptor& x_desc,
   return Status::kSuccess;
 }
 
-Status convolution_forward_batch(Handle* handle, ForwardWorkItem* items,
-                                 int count, int num_threads) {
-  if (handle == nullptr || count < 0 || num_threads < 1 ||
-      (items == nullptr && count > 0)) {
-    return Status::kBadParam;
-  }
-  if (count == 0) return Status::kSuccess;
-
-  std::atomic<int> next{0};
-  const auto worker = [&]() {
-    for (int i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-      ForwardWorkItem& item = items[i];
-      item.status = convolution_forward(handle, item.x_desc, item.x,
-                                        item.w_desc, item.w, item.y_desc,
-                                        item.y);
-    }
-  };
-
-  const int workers = std::min(num_threads, count);
-  if (workers == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  for (int i = 0; i < count; ++i) {
-    if (items[i].status != Status::kSuccess) return items[i].status;
-  }
-  return Status::kSuccess;
-}
-
 Status convolution_backward_data(Handle* handle,
                                  const FilterDescriptor& w_desc,
                                  const double* w,
@@ -437,8 +395,8 @@ Status convolution_backward_filter(Handle* handle,
     // the forward and backward-data paths already route around; send
     // the filter gradient to the host too — recorded, never silent —
     // so a compiled network gets a complete training step for any
-    // shape. Mesh-executable shapes keep the mesh-only contract below
-    // (a fault surfaces as kTransientFault/kDeviceFault).
+    // shape. Mesh-executable shapes stay on the mesh (a fault surfaces
+    // as kTransientFault/kDeviceFault, below).
     const perf::PlanCache::LookupResult lookup =
         handle->sw.ranked_plans(shape);
     trace_dispatch(handle, lookup.hit ? "hit" : "miss");
@@ -459,19 +417,11 @@ Status convolution_backward_filter(Handle* handle,
       return Status::kSuccess;
     }
 
-    std::lock_guard<std::mutex> launch_lock(handle->bwd_exec_mutex);
-    if (handle->bwd_exec == nullptr) {
-      handle->bwd_exec = std::make_unique<sim::MeshExecutor>(handle->spec);
-    }
-    sim::MeshExecutor& exec = *handle->bwd_exec;
-    exec.set_fault_injector(handle->injector.get());
-    exec.set_retry_policy(handle->retry);
-    exec.set_tracer(handle->tracer);
     const sim::LaunchStats stats =
-        conv::mesh_backward_filter(exec, *input, *dout, *dfilter, shape);
+        handle->sw.backward_filter(*input, *dout, *dfilter, shape);
     if (stats.failed) {
-      // backward-filter has no host route in this build: surface the
-      // fault class so the framework can retry or re-plan.
+      // A fault on the mesh route is not rerouted to the host: surface
+      // its class so the framework can retry or re-plan.
       set_error(handle, stats.failure.c_str());
       return stats.persistent_fault ? Status::kDeviceFault
                                     : Status::kTransientFault;
@@ -620,8 +570,7 @@ Status set_fault_plan(Handle* handle, const sim::FaultPlan* plan) {
 Status set_retry_policy(Handle* handle, int max_attempts,
                         std::uint64_t backoff_cycles) {
   if (handle == nullptr || max_attempts < 1) return Status::kBadParam;
-  handle->retry = sim::RetryPolicy{max_attempts, backoff_cycles};
-  handle->sw.set_retry_policy(handle->retry);
+  handle->sw.set_retry_policy(sim::RetryPolicy{max_attempts, backoff_cycles});
   return Status::kSuccess;
 }
 

@@ -22,18 +22,22 @@
 // with last_execution_route()).
 //
 // Threading contract: a Handle is concurrency-safe for the execution
-// and query entry points — N worker threads may issue
-// convolution_forward / convolution_backward_* / get_convolution_estimate
-// calls through one shared handle simultaneously, the serving-front-end
-// shape (convolution_forward_batch packages exactly that dispatch).
-// Per-handle mutable state (last_execution_route, the error buffer,
-// fault counters, the plan cache) is internally guarded; the last_*
-// queries report the most recently *completed* call, which under
-// concurrency is whichever finished last. The configuration calls
-// (set_fault_plan, set_retry_policy, set_event_tracer) reconfigure the
-// execution engine and must not race with in-flight calls on the same
-// handle — configure first, then dispatch. Distinct handles remain
-// fully independent, and the free functions that take no handle
+// and query entry points — N threads that each own their requests may
+// issue convolution_forward / convolution_backward_* /
+// get_convolution_estimate calls through one shared handle
+// simultaneously (the library spawns no threads of its own for this;
+// a serving front end batches requests through compiled networks). A
+// handle launches every simulated convolution on one executor, so
+// concurrent calls serialize on its launches and overlap only in their
+// host work (staging, host-GEMM routes). Per-handle mutable state
+// (last_execution_route, the error buffer, fault counters, the plan
+// cache) is internally guarded; the last_* queries report the most
+// recently *completed* call, which under concurrency is whichever
+// finished last. The configuration calls (set_fault_plan,
+// set_retry_policy, set_event_tracer) reconfigure the execution engine
+// and must not race with in-flight calls on the same handle —
+// configure first, then dispatch. Distinct handles remain fully
+// independent, and the free functions that take no handle
 // (status_string, descriptor setters, get_convolution_output_descriptor)
 // are pure and thread-safe.
 //
@@ -106,27 +110,6 @@ Status convolution_forward(Handle* handle, const TensorDescriptor& x_desc,
                            const double* w, const TensorDescriptor& y_desc,
                            double* y);
 
-/// One request of a batched dispatch: descriptors, buffers, and the
-/// per-request outcome slot.
-struct ForwardWorkItem {
-  TensorDescriptor x_desc;
-  const double* x = nullptr;
-  FilterDescriptor w_desc;
-  const double* w = nullptr;
-  TensorDescriptor y_desc;
-  double* y = nullptr;
-  Status status = Status::kSuccess;  ///< filled per item
-};
-
-/// Concurrent dispatch of `count` independent forward convolutions
-/// through one handle: `num_threads` workers (clamped to count) pull
-/// items off a shared queue and run convolution_forward on each — the
-/// serving front-end's fan-out, sharing the handle's plan cache and
-/// counters. Every item's own `status` is filled; the call returns the
-/// first non-success item status, else kSuccess.
-Status convolution_forward_batch(Handle* handle, ForwardWorkItem* items,
-                                 int count, int num_threads);
-
 /// dx = conv_backward_data(dy, w).
 Status convolution_backward_data(Handle* handle,
                                  const FilterDescriptor& w_desc,
@@ -135,7 +118,11 @@ Status convolution_backward_data(Handle* handle,
                                  const double* dy,
                                  const TensorDescriptor& dx_desc, double* dx);
 
-/// dw = conv_backward_filter(x, dy).
+/// dw = conv_backward_filter(x, dy). A shape with no mesh-executable
+/// plan runs on the host GEMM (a recorded host fallback, kSuccess). A
+/// mesh-executable shape stays on the mesh: a fault the retry policy
+/// cannot absorb is not rerouted but returned as kTransientFault or
+/// kDeviceFault, so the framework can retry or re-plan.
 Status convolution_backward_filter(Handle* handle,
                                    const TensorDescriptor& x_desc,
                                    const double* x,
@@ -239,9 +226,9 @@ const char* last_error_message(const Handle* handle);
 // every simulated-mesh launch issued through it polls the plan at the
 // DMA/LDM/bus/NoC fault sites. Transient DMA faults are retried at tile
 // granularity under the handle's retry policy; faults the policy cannot
-// absorb degrade the call to the host GEMM path where one exists
-// (observable via last_execution_route()) or surface as
-// kTransientFault / kDeviceFault where none does.
+// absorb degrade forward and backward-data to the host GEMM path
+// (observable via last_execution_route()) and surface from
+// backward-filter as kTransientFault / kDeviceFault.
 
 /// Installs (copies) a fault plan on the handle; nullptr removes it.
 /// Resets the handle's fault counters.

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/conv/backward.h"
 #include "src/conv/multigrain.h"
 #include "src/conv/reference.h"
 #include "src/timing/kernels.h"
@@ -31,6 +32,41 @@ bool executable_on_mesh(const ConvShape& shape, const perf::ConvPlan& plan,
   } catch (const std::invalid_argument&) {
     return false;
   }
+}
+
+/// Runs `plan`'s mesh kernel over output rows [ro_begin, ro_end);
+/// throws sim::LaunchFault after a launch that reports a fault it could
+/// not absorb, MeshMappingError for a plan with no mesh kernel.
+sim::LaunchStats run_plan(sim::MeshExecutor& exec, const perf::ConvPlan& plan,
+                          const tensor::Tensor& input,
+                          const tensor::Tensor& filter, tensor::Tensor& output,
+                          const ConvShape& shape, std::int64_t ro_begin = 0,
+                          std::int64_t ro_end = -1) {
+  sim::LaunchStats stats;
+  switch (plan.kind) {
+    case perf::PlanKind::kImageSizeAware:
+      stats = run_image_size_aware(exec, input, filter, output, shape, plan,
+                                   ro_begin, ro_end);
+      break;
+    case perf::PlanKind::kBatchSizeAware:
+      stats = run_batch_size_aware(exec, input, filter, output, shape, plan,
+                                   ro_begin, ro_end);
+      break;
+    case perf::PlanKind::kFilterGrained:
+      stats = run_filter_grained(exec, input, filter, output, shape, plan,
+                                 ro_begin, ro_end);
+      break;
+    case perf::PlanKind::kPixelGrained:
+      stats = run_pixel_grained(exec, input, filter, output, shape, plan,
+                                ro_begin, ro_end);
+      break;
+    case perf::PlanKind::kDirect:
+      throw MeshMappingError("direct plan has no mesh kernel");
+  }
+  if (stats.failed) {
+    throw sim::LaunchFault(stats.failure, stats.persistent_fault);
+  }
+  return stats;
 }
 
 }  // namespace
@@ -96,8 +132,8 @@ perf::PlanChoice SwConvolution::plan_for(const ConvShape& shape,
   return entry->best_executable();
 }
 
-std::optional<perf::AutotuneReport> SwConvolution::autotune_plan(
-    const ConvShape& shape) {
+std::optional<perf::CachedPlan> SwConvolution::schedule_tuned(
+    const ConvShape& shape, perf::AutotuneReport* report) {
   {
     std::lock_guard<std::mutex> lock(tune_mutex_);
     if (!tuned_.insert(shape).second) return std::nullopt;  // already tuned
@@ -113,35 +149,30 @@ std::optional<perf::AutotuneReport> SwConvolution::autotune_plan(
   if (entry == nullptr || entry->ranked.empty()) return std::nullopt;
 
   const perf::ScheduleAutotuner tuner(spec_);
-  perf::AutotuneReport report;
   perf::CachedPlan tuned_entry;
-  tuned_entry.ranked = tuner.tune_ranked(shape, entry->ranked, &report);
+  tuned_entry.ranked = tuner.tune_ranked(shape, entry->ranked, report);
   // Tuning never reorders the ranking and never changes a plan's
   // mesh-mappability (the tuned knobs are invisible to
   // check_mesh_compatibility), so the executable indices carry over.
   tuned_entry.executable = entry->executable;
-  plan_cache_.install(shape, std::move(tuned_entry));
+  return tuned_entry;
+}
+
+std::optional<perf::AutotuneReport> SwConvolution::autotune_plan(
+    const ConvShape& shape) {
+  perf::AutotuneReport report;
+  std::optional<perf::CachedPlan> tuned = schedule_tuned(shape, &report);
+  if (!tuned.has_value()) return std::nullopt;
+  plan_cache_.install(shape, std::move(*tuned));
   return report;
 }
 
 std::optional<perf::MeasuredAutotuneReport>
 SwConvolution::autotune_plan_measured(const ConvShape& shape) {
-  {
-    std::lock_guard<std::mutex> lock(tune_mutex_);
-    if (!tuned_.insert(shape).second) return std::nullopt;  // already tuned
-  }
-  perf::PlanCache::Entry entry = plan_cache_.peek(shape);
-  if (entry == nullptr) {
-    plan_cache_.warm(shape, cache_builder());
-    entry = plan_cache_.peek(shape);
-  }
-  if (entry == nullptr || entry->ranked.empty()) return std::nullopt;
-
   // Phase 1: the modeled schedule search, exactly as autotune_plan.
-  const perf::ScheduleAutotuner tuner(spec_);
-  perf::CachedPlan tuned_entry;
-  tuned_entry.ranked = tuner.tune_ranked(shape, entry->ranked, nullptr);
-  tuned_entry.executable = entry->executable;
+  std::optional<perf::CachedPlan> tuned = schedule_tuned(shape, nullptr);
+  if (!tuned.has_value()) return std::nullopt;
+  perf::CachedPlan& tuned_entry = *tuned;
 
   // Phase 2: confirm the top modeled candidates with timed launches —
   // a tournament of up to three: the model's top mesh-executable pick
@@ -250,32 +281,17 @@ ForwardResult SwConvolution::execute_choice(const perf::PlanChoice& choice,
                                             tensor::Tensor& output,
                                             const ConvShape& shape) {
   std::lock_guard<std::mutex> launch_lock(exec_mutex_);
-  sim::MeshExecutor& exec = shared_executor();
-  sim::LaunchStats stats;
-  switch (choice.plan.kind) {
-    case perf::PlanKind::kImageSizeAware:
-      stats = run_image_size_aware(exec, input, filter, output, shape,
-                                   choice.plan);
-      break;
-    case perf::PlanKind::kBatchSizeAware:
-      stats = run_batch_size_aware(exec, input, filter, output, shape,
-                                   choice.plan);
-      break;
-    case perf::PlanKind::kFilterGrained:
-      stats = run_filter_grained(exec, input, filter, output, shape,
-                                 choice.plan);
-      break;
-    case perf::PlanKind::kPixelGrained:
-      stats = run_pixel_grained(exec, input, filter, output, shape,
-                                choice.plan);
-      break;
-    case perf::PlanKind::kDirect:
-      throw MeshMappingError("direct plan has no mesh kernel");
-  }
-  if (stats.failed) {
-    throw sim::LaunchFault(stats.failure, stats.persistent_fault);
-  }
-  return ForwardResult{choice, stats};
+  return ForwardResult{choice, run_plan(shared_executor(), choice.plan, input,
+                                        filter, output, shape)};
+}
+
+sim::LaunchStats SwConvolution::backward_filter(const tensor::Tensor& input,
+                                                const tensor::Tensor& d_output,
+                                                tensor::Tensor& d_filter,
+                                                const ConvShape& shape) {
+  std::lock_guard<std::mutex> launch_lock(exec_mutex_);
+  return mesh_backward_filter(shared_executor(), input, d_output, d_filter,
+                              shape);
 }
 
 sim::MultiCgStats SwConvolution::forward_multi_cg(
@@ -297,30 +313,8 @@ sim::MultiCgStats SwConvolution::forward_multi_cg(
           "NoC link to core group " + std::to_string(cg) + " is down",
           /*persistent=*/true);
     }
-    switch (p.kind) {
-      case perf::PlanKind::kImageSizeAware:
-        stats.per_cg.push_back(run_image_size_aware(
-            exec, input, filter, output, shape, p, part.begin, part.end));
-        break;
-      case perf::PlanKind::kBatchSizeAware:
-        stats.per_cg.push_back(run_batch_size_aware(
-            exec, input, filter, output, shape, p, part.begin, part.end));
-        break;
-      case perf::PlanKind::kFilterGrained:
-        stats.per_cg.push_back(run_filter_grained(
-            exec, input, filter, output, shape, p, part.begin, part.end));
-        break;
-      case perf::PlanKind::kPixelGrained:
-        stats.per_cg.push_back(run_pixel_grained(
-            exec, input, filter, output, shape, p, part.begin, part.end));
-        break;
-      case perf::PlanKind::kDirect:
-        throw MeshMappingError("direct plan has no mesh kernel");
-    }
-    if (stats.per_cg.back().failed) {
-      throw sim::LaunchFault(stats.per_cg.back().failure,
-                             stats.per_cg.back().persistent_fault);
-    }
+    stats.per_cg.push_back(run_plan(exec, p, input, filter, output, shape,
+                                    part.begin, part.end));
   }
   return stats;
 }

@@ -12,6 +12,11 @@
 //                            stand-in for "measured" silicon numbers
 //                            (Table III's `meas` column).
 //   * estimate()           — level-3 closed-form model (Table III `mdl`).
+//
+// Every launch an object issues — forward plans, swconv_backward_data,
+// backward_filter — runs on its one lazily created executor; an
+// api::Handle holds one SwConvolution, so a handle launches on one
+// executor.
 
 #include <memory>
 #include <mutex>
@@ -54,6 +59,15 @@ class SwConvolution {
                                const tensor::Tensor& filter,
                                tensor::Tensor& output,
                                const ConvShape& shape);
+
+  /// dW = backward-filter(In, dOut): mesh_backward_filter on the shared
+  /// executor, under the attached injector, retry policy and tracer.
+  /// Overwrites `d_filter`; an unabsorbed fault is reported in the
+  /// returned stats (`failed`), not thrown.
+  sim::LaunchStats backward_filter(const tensor::Tensor& input,
+                                   const tensor::Tensor& d_output,
+                                   tensor::Tensor& d_filter,
+                                   const ConvShape& shape);
 
   /// Functional forward with output rows partitioned across `num_cgs`
   /// core groups (the paper's §III-D scaling scheme).
@@ -147,10 +161,11 @@ class SwConvolution {
   void set_tracer(sim::EventTracer* tracer) { tracer_ = tracer; }
   sim::EventTracer* tracer() const { return tracer_; }
 
-  // Threading: forward/execute_choice/plan_for/ranked_plans may run
-  // concurrently from many threads on one SwConvolution (launches share
-  // one persistent MeshExecutor — its CPE fibers run on whichever thread
-  // launches — and serialize on an internal mutex; the plan
+  // Threading: forward/execute_choice/backward_filter/plan_for/
+  // ranked_plans may run concurrently from many threads on one
+  // SwConvolution (launches share one persistent MeshExecutor — its CPE
+  // fibers run on whichever thread launches — and serialize on an
+  // internal mutex; the plan
   // cache locks internally; the attached tracer/injector are themselves
   // thread-safe). The setters (set_fault_injector, set_retry_policy,
   // set_tracer) are configuration-phase calls and must not race with
@@ -160,6 +175,12 @@ class SwConvolution {
   /// The plan-cache builder closure shared by ranked_plans and
   /// warm_plans: chooser rank + mesh-executability filter.
   perf::PlanCache::Builder cache_builder() const;
+
+  /// The autotuners' common first phase: claims the shape in tuned_
+  /// (nullopt when it was already tuned or ranks no plan) and returns
+  /// its counter-neutral base ranking, schedule-tuned.
+  std::optional<perf::CachedPlan> schedule_tuned(const ConvShape& shape,
+                                                 perf::AutotuneReport* report);
 
   /// The shared executor, created on first launch. Callers must hold
   /// exec_mutex_ for the whole launch; the method (re)applies the

@@ -6,7 +6,7 @@ namespace {
 
 /// Descriptor triple for a stride-1 ConvShape; throws on stride != 1,
 /// the one corner of the layer configuration space the API boundary
-/// does not cover (strided conv layers keep the eager kernels).
+/// does not cover (a strided conv runs on the kHostIm2col backend).
 struct ConvDescriptors {
   api::TensorDescriptor x, y;
   api::FilterDescriptor w;
@@ -138,6 +138,13 @@ std::string BackendContext::last_error_message() const {
 
 std::uint64_t BackendContext::autotuned_shapes() const {
   return api::autotuned_shapes(handle_);
+}
+
+BackendContext& bound_or_own(BackendContext* bound,
+                             std::unique_ptr<BackendContext>& own) {
+  if (bound != nullptr) return *bound;
+  if (own == nullptr) own = std::make_unique<BackendContext>();
+  return *own;
 }
 
 }  // namespace swdnn::dnn

@@ -1,5 +1,6 @@
 #pragma once
-// Shared backend context for compiled networks.
+// Shared backend context: the one route from a layer to the simulated
+// mesh.
 //
 // One BackendContext wraps one swdnn::api Handle and is shared by every
 // conv/FC layer of a compiled Network (and across replicas of a
@@ -7,9 +8,10 @@
 // cache, fault-retry/host-GEMM ladder, and event tracer, exactly the
 // way a framework integration would hold one library handle per
 // process. Fully-connected layers ride the same funnel by expressing
-// themselves as 1x1 convolutions (fc_shape). A kHostIm2col conv keeps
-// its own im2col route (convolution.h) and is the one heavy op that
-// does not dispatch here.
+// themselves as 1x1 convolutions (fc_shape). An unbound mesh layer
+// dispatches through a private context made on first use
+// (bound_or_own). A kHostIm2col conv and an unbound kHostGemm FC run
+// their host kernels instead (convolution.h, fully_connected.h).
 //
 // Threading: the conv_* execution wrappers inherit the Handle contract —
 // N threads may call them concurrently on one context (the per-call
@@ -31,6 +33,7 @@
 // layer above this ladder's last rung.
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -104,5 +107,11 @@ class BackendContext {
 
   api::Handle* handle_ = nullptr;
 };
+
+/// The context a layer's heavy ops dispatch through: `bound` once
+/// compile() bound one, else `own`, made on first use with the real
+/// SW26010 spec.
+BackendContext& bound_or_own(BackendContext* bound,
+                             std::unique_ptr<BackendContext>& own);
 
 }  // namespace swdnn::dnn

@@ -1,18 +1,19 @@
 #pragma once
 // Convolution layer (valid) over [R][C][N][B] activations.
 //
-// Forward runs the im2col+GEMM host path by default — the functional
-// route that is practical at training sizes on the host — and can be
-// switched to the simulated-mesh path (SwConvolution) to exercise the
-// full SW26010 pipeline on mesh-compatible shapes. Both are checked
-// against the naive reference in tests. Backward lowers both gradients
-// to GEMMs: im2col on the host, backward-data as a forward convolution
-// and per-tap mesh GEMMs on the simulated mesh.
+// One kernel pair, forward_view/backward_view, serves the eager wrapper
+// and the compiled graph; the declared backend picks the route:
+//   * kHostIm2col (default): im2col + blocked GEMM on the host, any
+//     stride — the route that is practical at training sizes.
+//   * kSimulatedMesh: all three heavy ops go through a BackendContext
+//     (the compiled network's, else a private one made on first use)
+//     onto the SW26010 simulator. Stride 1 only: a strided shape throws
+//     the context's std::invalid_argument.
+// Both are checked against the naive reference in tests.
 
-#include <optional>
+#include <memory>
 
 #include "src/conv/shape.h"
-#include "src/conv/swconv.h"
 #include "src/dnn/layer.h"
 #include "src/tensor/pool.h"
 #include "src/util/rng.h"
@@ -32,20 +33,16 @@ class Convolution : public Layer {
   Convolution(const conv::ConvShape& shape, util::Rng& rng,
               ConvBackend backend = ConvBackend::kHostIm2col,
               bool with_bias = false);
+  ~Convolution() override;
 
   std::string name() const override { return "conv"; }
-  tensor::Tensor forward(const tensor::Tensor& input) override;
-  tensor::Tensor backward(const tensor::Tensor& d_output) override;
   std::vector<ParamGrad> params() override;
 
-  // Views. A kHostIm2col layer runs the eager im2col kernels, staged
-  // through presized scratch and a private pool (allocation-free, any
-  // stride). A kSimulatedMesh layer dispatches all three heavy ops
-  // through the shared BackendContext handle (plan cache + fault
-  // ladder + tracer); the arena keeps its input alive until its
-  // backward step, so no copy-cache is taken. Off the API route
-  // (strided, or unbound) it runs the eager forward/backward over the
-  // views.
+  // Views. backward_view re-reads the input forward_view was given:
+  // the arena (compiled) or the eager wrapper's copy keeps it live, so
+  // no copy-cache is taken here. A kHostIm2col layer stages its
+  // tensors through a private pool once bound (a compiled step mints
+  // none), through plain tensors freed after each call otherwise.
   std::vector<std::int64_t> infer_shape(
       const std::vector<std::int64_t>& input_dims) override;
   bool backward_needs_input() const override { return true; }
@@ -75,25 +72,21 @@ class Convolution : public Layer {
   tensor::Tensor d_filter_;
   tensor::Tensor bias_;    ///< [No]; unused when !with_bias_
   tensor::Tensor d_bias_;
-  tensor::Tensor cached_input_;
-  conv::SwConvolution sw_;
-  /// Persistent executor for the backward-filter launches on the mesh
-  /// backend (created on first use; its mesh and fiber stacks are reused
-  /// across training steps). Layers are not called concurrently, so no
-  /// lock.
-  std::unique_ptr<sim::MeshExecutor> mesh_exec_;
 
   /// True when the compiled path can route this layer through the API
   /// boundary (bound context + stride-1 shape).
   bool use_api() const;
 
-  BackendContext* context_ = nullptr;     // set by bind()
-  tensor::TensorView input_view_;         // the arena keeps it live
+  /// A kHostIm2col staging tensor (the im2col kernels take tensors,
+  /// not views) and the pool its kernels recycle through: the private
+  /// pool when bound, none otherwise.
+  tensor::PooledTensor host_tensor(const std::vector<std::int64_t>& dims);
+  tensor::PooledTensor host_copy(const tensor::TensorView& view);
+  tensor::TensorPool* host_pool();
 
-  // A kHostIm2col layer's view scratch (route fidelity: see
-  // forward_view), sized on the first view call.
-  void ensure_host_scratch();
-  tensor::Tensor host_in_, host_out_, host_dout_, host_din_;
+  BackendContext* context_ = nullptr;        // set by bind()
+  std::unique_ptr<BackendContext> own_context_;  // unbound mesh layers
+  tensor::TensorView input_view_;            // forward's input, kept live
   tensor::TensorPool host_pool_;
 };
 

@@ -14,8 +14,15 @@ tensor::TensorView view_of(const tensor::Tensor& t) {
 tensor::Tensor Layer::forward(const tensor::Tensor& input) {
   tensor::Tensor output(infer_shape(input.dims()));
   eager_input_dims_ = input.dims();
+  // backward_view re-reads the input through the view forward_view
+  // was given, so that view must outlive the caller's tensor.
+  const tensor::Tensor* kept = &input;
+  if (backward_needs_input()) {
+    eager_input_ = input;
+    kept = &eager_input_;
+  }
   tensor::TensorView out = view_of(output);
-  forward_view(view_of(input), out);
+  forward_view(view_of(*kept), out);
   return output;
 }
 

@@ -9,17 +9,13 @@
 //
 // Every layer has one kernel pair, forward_view/backward_view over
 // TensorViews, and two execution regimes run it:
-//   * Eager: forward(Tensor) / backward(Tensor) allocate one fresh
-//     result tensor per call and run the view kernel over it — the
-//     differential baseline the compiled path is compared against.
+//   * Eager: the non-virtual forward(Tensor) / backward(Tensor) wrapper
+//     allocates one fresh result tensor per call and runs the view
+//     kernel over it — the differential baseline the compiled path is
+//     compared against.
 //   * Compiled: Network::compile() drives infer_shape -> bind -> plan
 //     once, then steady-state steps call forward_view/backward_view on
 //     arena-backed TensorViews, allocation-free.
-// Convolution and FullyConnected are the exception: their eager
-// forward/backward keep the direct route (SwConvolution, im2col,
-// mesh_gemm) as the reference, and their views dispatch through the
-// shared BackendContext (a kHostIm2col conv's views run its pooled
-// im2col kernels instead).
 
 #include <cstdint>
 #include <memory>
@@ -45,18 +41,18 @@ class Layer {
 
   virtual std::string name() const = 0;
 
-  /// Computes the layer output; caches whatever backward() needs.
-  /// Default: allocates the output (dims from infer_shape, so a bad
-  /// shape throws std::invalid_argument), records the input dims for
-  /// backward(), and runs forward_view.
-  virtual tensor::Tensor forward(const tensor::Tensor& input);
+  /// Computes the layer output: allocates it (dims from infer_shape,
+  /// so a bad shape throws std::invalid_argument), records the input
+  /// dims for backward() and runs forward_view. A
+  /// backward_needs_input() layer runs it over a copy of the input the
+  /// wrapper keeps, so the caller may drop the input before backward().
+  tensor::Tensor forward(const tensor::Tensor& input);
 
   /// Given dLoss/dOutput, accumulates parameter gradients (zeroed at
-  /// the start of each call) and returns dLoss/dInput. Default:
-  /// allocates dLoss/dInput with the last forward()'s input dims and
-  /// runs backward_view; throws std::invalid_argument before any
-  /// forward().
-  virtual tensor::Tensor backward(const tensor::Tensor& d_output);
+  /// the start of each call) and returns dLoss/dInput: allocates it
+  /// with the last forward()'s input dims and runs backward_view;
+  /// throws std::invalid_argument before any forward().
+  tensor::Tensor backward(const tensor::Tensor& d_output);
 
   /// Trainable parameters (empty for activation/pooling layers).
   virtual std::vector<ParamGrad> params() { return {}; }
@@ -75,9 +71,10 @@ class Layer {
 
   /// Whether backward() re-reads the *input* activation (conv, FC). The
   /// liveness planner extends the input tensor's lifetime to this
-  /// layer's backward step only when true; layers that cache what they
-  /// need internally (relu mask, pool argmax, softmax output) leave it
-  /// false so their inputs die early and the arena can reuse the bytes.
+  /// layer's backward step only when true, and the eager wrapper keeps
+  /// a copy of the input; layers that cache what they need internally
+  /// (relu mask, pool argmax, softmax output) leave it false so their
+  /// inputs die early and the arena can reuse the bytes.
   virtual bool backward_needs_input() const { return false; }
 
   /// Binds the layer to the shared backend context. Called once per
@@ -138,6 +135,7 @@ class Layer {
 
  private:
   std::vector<std::int64_t> eager_input_dims_;  ///< last forward()'s input
+  tensor::Tensor eager_input_;  ///< its copy, if backward_needs_input()
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -159,6 +159,9 @@ const CompiledStats& Network::compile(
 }
 
 void Network::uncompile() {
+  // Eager conv/FC views dispatch through a bound context, which may be
+  // about to die with owned_context_.
+  for (auto& layer : layers_) layer->bind(nullptr);
   compiled_ = false;
   graph_.clear();
   arena_.reset();

@@ -3,10 +3,9 @@
 //
 // Eager mode is the seed behaviour: forward/backward walk the layer
 // vector, every layer minting fresh tensors around the same view
-// kernels the compiled path runs (conv/FC keep their direct reference
-// route). compile(input_dims) lowers the same network into a graph IR
-// (graph_ir.h) and optimizes it the way swTVM/swCaffe treat a model —
-// as a program, not a list:
+// kernels the compiled path runs, conv/FC included. compile(input_dims)
+// lowers the same network into a graph IR (graph_ir.h) and optimizes it
+// the way swTVM/swCaffe treat a model — as a program, not a list:
 //   1. shape inference propagates the input dims through every layer's
 //      infer_shape, catching shape bugs before any math runs;
 //   2. every layer binds to one shared BackendContext and plans
@@ -24,9 +23,9 @@
 // forward/backward transparently run the compiled path once compiled,
 // returning views of presized result buffers so steady-state steps
 // allocate nothing; set_run_eager(true) is the escape hatch that forces
-// the eager loop on a compiled network (differential testing asserts
-// the two paths agree bitwise: graph executor, arena, fusion and the
-// conv/FC API route against the eager walk).
+// the eager loop on a compiled network, still dispatching through the
+// bound context (differential testing asserts the two paths agree
+// bitwise: graph executor, arena and fusion against the eager walk).
 
 #include <cstdint>
 #include <functional>

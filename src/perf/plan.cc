@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/conv/mesh_gemm_driver.h"
+
 namespace swdnn::perf {
 
 namespace {
@@ -146,18 +148,11 @@ std::int64_t filter_grained_k_chunk(const conv::ConvShape& shape,
                                     const arch::Sw26010Spec& spec) {
   const std::int64_t bpx = filter_grained_block_px(shape, plan, spec);
   if (bpx <= 0) return 0;
-  const std::int64_t p = spec.mesh_rows;
-  const std::int64_t k = shape.kr * shape.kc * shape.ni;
-  const std::int64_t m_t = ceil_div(shape.no, p);
-  const std::int64_t n_t = ceil_div(bpx, p);
-  const std::int64_t budget = ldm_budget_doubles(spec);
-  const std::int64_t fixed = m_t * n_t + n_t;
-  if (fixed >= budget) return 0;
-  // Same derivation as mesh_gemm_default_k_chunk, kept in the perf
-  // layer so the model scores exactly the chunk the kernel will run.
-  const std::int64_t k_t =
-      std::max<std::int64_t>(1, (budget - fixed) / (2 * (m_t + n_t)));
-  return std::min(k, k_t * p);
+  // The chunk the kernel will run. filter_grained_block_px already
+  // refused a block whose output tile overflows LDM, so
+  // mesh_gemm_default_k_chunk does not throw here.
+  return conv::mesh_gemm_default_k_chunk(spec, shape.no,
+                                         shape.kr * shape.kc * shape.ni, bpx);
 }
 
 std::int64_t ldm_bytes_required(const conv::ConvShape& shape,

@@ -8,9 +8,11 @@
 // reproducible way, so the retry/fallback machinery above the simulator
 // can be exercised and verified.
 //
-// Determinism is the load-bearing property. The mesh runs 64 CPE
-// threads concurrently, so a shared RNG stream would make fault
-// placement depend on thread interleaving. Instead, every decision is a
+// Determinism is the load-bearing property. A launch runs its 64 CPE
+// kernels as fibers on the launching thread; only the spawned-thread
+// reference runs them concurrently. Either way a shared RNG stream
+// would tie fault placement to the order in which CPEs reach their
+// fault sites. Instead, every decision is a
 // pure function of (plan seed, fault site, unit id, per-unit sequence
 // number): each site keeps an atomic per-unit counter, and the decision
 // draws from a util::Rng seeded by a hash of those four values. The
@@ -107,8 +109,8 @@ class LaunchFault : public std::runtime_error {
 /// The stateful injection engine for one campaign. Attach to a
 /// MeshExecutor (and/or NocSystem); poll_* methods advance the per-unit
 /// sequence counter for their site, decide deterministically, and log a
-/// FaultEvent when they fire. Thread-safe: CPE threads poll
-/// concurrently.
+/// FaultEvent when they fire. Thread-safe: the spawned-thread
+/// reference's CPE threads poll concurrently.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);

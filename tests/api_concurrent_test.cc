@@ -1,7 +1,6 @@
 // Concurrent dispatch through one shared handle: N worker threads
 // issuing convolution_forward simultaneously must produce the same
-// results as serial calls, with cache counters that add up, and
-// convolution_forward_batch packages the same fan-out. Run under
+// results as serial calls, with cache counters that add up. Run under
 // -DSWDNN_SANITIZE=ON this is the handle's data-race regression test.
 
 #include <gtest/gtest.h>
@@ -111,70 +110,6 @@ TEST_F(ApiConcurrentTest, WorkersSharingOneHandleMatchSerialResults) {
   EXPECT_EQ(c.misses, problems_.size());
   EXPECT_EQ(c.hits, kThreads * kReps - problems_.size());
   EXPECT_EQ(c.entries, problems_.size());
-}
-
-TEST_F(ApiConcurrentTest, ForwardBatchFansOutAndFillsEveryStatus) {
-  constexpr int kItems = 12;
-  std::vector<std::vector<double>> outputs(kItems);
-  std::vector<ForwardWorkItem> items(kItems);
-  for (int i = 0; i < kItems; ++i) {
-    const Problem& p = problems_[static_cast<std::size_t>(i) %
-                                 problems_.size()];
-    outputs[static_cast<std::size_t>(i)].assign(
-        static_cast<std::size_t>(p.shape.output_elements()), -1.0);
-    items[static_cast<std::size_t>(i)] = ForwardWorkItem{
-        p.x_desc,      p.input.data().data(),  p.w_desc,
-        p.filter.data().data(), p.y_desc,
-        outputs[static_cast<std::size_t>(i)].data()};
-    items[static_cast<std::size_t>(i)].status = Status::kBadParam;  // must be overwritten
-  }
-
-  EXPECT_EQ(convolution_forward_batch(handle_, items.data(), kItems, 4),
-            Status::kSuccess);
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(items[static_cast<std::size_t>(i)].status, Status::kSuccess);
-    const Problem& p = problems_[static_cast<std::size_t>(i) %
-                                 problems_.size()];
-    for (std::size_t j = 0; j < p.golden.size(); ++j) {
-      ASSERT_NEAR(outputs[static_cast<std::size_t>(i)][j], p.golden[j],
-                  1e-10);
-    }
-  }
-
-  PlanCacheCounters c;
-  ASSERT_EQ(plan_cache_counters(handle_, &c), Status::kSuccess);
-  EXPECT_EQ(c.misses + c.hits, static_cast<std::uint64_t>(kItems));
-  EXPECT_EQ(c.misses, problems_.size());
-}
-
-TEST_F(ApiConcurrentTest, ForwardBatchReportsTheFirstFailingItem) {
-  const Problem& p = problems_[0];
-  std::vector<double> good(static_cast<std::size_t>(
-      p.shape.output_elements()));
-  ForwardWorkItem items[2];
-  items[0] = ForwardWorkItem{p.x_desc, p.input.data().data(), p.w_desc,
-                             p.filter.data().data(), p.y_desc, good.data()};
-  items[1] = items[0];
-  items[1].y_desc.rows += 1;  // inconsistent descriptor triple
-  EXPECT_EQ(convolution_forward_batch(handle_, items, 2, 2),
-            Status::kShapeMismatch);
-  EXPECT_EQ(items[0].status, Status::kSuccess);
-  EXPECT_EQ(items[1].status, Status::kShapeMismatch);
-}
-
-TEST_F(ApiConcurrentTest, ForwardBatchValidatesItsArguments) {
-  ForwardWorkItem item;
-  EXPECT_EQ(convolution_forward_batch(nullptr, &item, 1, 1),
-            Status::kBadParam);
-  EXPECT_EQ(convolution_forward_batch(handle_, nullptr, 1, 1),
-            Status::kBadParam);
-  EXPECT_EQ(convolution_forward_batch(handle_, &item, -1, 1),
-            Status::kBadParam);
-  EXPECT_EQ(convolution_forward_batch(handle_, &item, 1, 0),
-            Status::kBadParam);
-  // Zero items is a successful no-op, with or without a pointer.
-  EXPECT_EQ(convolution_forward_batch(handle_, nullptr, 0, 1),
-            Status::kSuccess);
 }
 
 TEST_F(ApiConcurrentTest, ConcurrentQueriesDuringDispatchAreSafe) {

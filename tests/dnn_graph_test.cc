@@ -115,6 +115,42 @@ TEST(DnnGraph, RunEagerEscapeHatchMatchesCompiledOnOneNetwork) {
   EXPECT_TRUE(bitwise_equal(y_compiled, y_eager));
 }
 
+TEST(DnnGraph, EagerEscapeHatchDispatchesThroughTheContext) {
+  // A compiled mesh conv switched to the eager loop runs the same views
+  // through the compiled context: its plan cache serves the eager
+  // forward, backward-filter and backward-data, and the results match
+  // the compiled step bitwise.
+  arch::Sw26010Spec spec = arch::default_spec();
+  spec.mesh_rows = 2;
+  spec.mesh_cols = 2;
+  const auto shape = conv::ConvShape::from_output(4, 2, 2, 3, 4, 2, 2);
+  Network net;
+  util::Rng rng(61);
+  net.emplace<Convolution>(shape, rng, ConvBackend::kSimulatedMesh);
+  CompileOptions options;
+  options.spec = &spec;
+  net.compile({shape.ri, shape.ci, shape.ni, shape.batch}, options);
+
+  tensor::Tensor input({shape.ri, shape.ci, shape.ni, shape.batch});
+  tensor::Tensor d_out({shape.ro(), shape.co(), shape.no, shape.batch});
+  util::Rng data_rng(62);
+  data_rng.fill_uniform(input.data(), -1, 1);
+  data_rng.fill_uniform(d_out.data(), -1, 1);
+
+  const tensor::Tensor y_compiled = net.forward(input);
+  const tensor::Tensor dx_compiled = net.backward(d_out);
+  const tensor::Tensor dw_compiled = *net.params()[0].grad;
+  const std::uint64_t hits = net.context()->plan_cache_counters().hits;
+
+  net.set_run_eager(true);
+  const tensor::Tensor y_eager = net.forward(input);
+  const tensor::Tensor dx_eager = net.backward(d_out);
+  EXPECT_EQ(net.context()->plan_cache_counters().hits, hits + 3);
+  EXPECT_TRUE(bitwise_equal(y_compiled, y_eager));
+  EXPECT_TRUE(bitwise_equal(dx_compiled, dx_eager));
+  EXPECT_TRUE(bitwise_equal(dw_compiled, *net.params()[0].grad));
+}
+
 TEST(DnnGraph, SecondBatchServesPlanCacheHitsAndAllocatesNothingNew) {
   auto net = make_cnn(5);
   const CompiledStats& stats = net->compile({12, 12, 3, 6});

@@ -4,13 +4,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "src/conv/reference.h"
 #include "src/dnn/convolution.h"
 #include "src/dnn/fully_connected.h"
+#include "src/dnn/network.h"
 #include "src/util/rng.h"
 
 namespace swdnn::dnn {
 namespace {
+
+bool bitwise_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(double)) ==
+             0;
+}
 
 TEST(MeshBackend, ConvBackwardMatchesHostBackend) {
   // Same weights, same input, same upstream gradient: the two backends
@@ -73,6 +86,53 @@ TEST(MeshBackend, FcMeshTrainsALinearFit) {
     }
   }
   EXPECT_NEAR(fc.weights().at(0, 0), -1.5, 0.1);
+}
+
+TEST(MeshBackend, EagerLayersOutliveTheirInput) {
+  // The eager wrapper keeps its own copy of the input for backward, so
+  // an unbound mesh layer whose caller dropped the input still produces
+  // the gradients of the same layer compiled into a network.
+  const auto check = [](const std::function<LayerPtr(util::Rng&)>& make,
+                        const std::vector<std::int64_t>& in_dims) {
+    util::Rng rng_eager(71), rng_compiled(71), data_rng(72);
+    const LayerPtr eager = make(rng_eager);
+    Network net;
+    net.add(make(rng_compiled));
+    net.compile(in_dims);
+
+    tensor::Tensor x(in_dims);
+    data_rng.fill_uniform(x.data(), -1, 1);
+    auto dropped = std::make_unique<tensor::Tensor>(x);
+    const tensor::Tensor y = eager->forward(*dropped);
+    dropped.reset();
+    tensor::Tensor dy(y.dims());
+    data_rng.fill_uniform(dy.data(), -1, 1);
+    const tensor::Tensor dx = eager->backward(dy);
+
+    net.forward(x);
+    EXPECT_TRUE(bitwise_equal(dx, net.backward(dy))) << eager->name();
+    const auto pe = eager->params();
+    const auto pc = net.params();
+    ASSERT_EQ(pe.size(), pc.size());
+    for (std::size_t i = 0; i < pe.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(*pe[i].grad, *pc[i].grad))
+          << eager->name() << " param " << i;
+    }
+  };
+  const conv::ConvShape shape =
+      conv::ConvShape::from_output(8, 8, 8, 2, 2, 2, 2);
+  check(
+      [&](util::Rng& rng) {
+        return std::make_unique<Convolution>(shape, rng,
+                                             ConvBackend::kSimulatedMesh);
+      },
+      {shape.ri, shape.ci, shape.ni, shape.batch});
+  check(
+      [](util::Rng& rng) {
+        return std::make_unique<FullyConnected>(12, 5, rng,
+                                                FcBackend::kSimulatedMesh);
+      },
+      {12, 8});
 }
 
 TEST(MeshBackend, ConvTrainingStepReducesLoss) {
