@@ -36,7 +36,7 @@ int main() {
   // family to another (0 = that family cannot map the shape).
   TextTable table;
   table.set_header({"#", "Ni", "No", "plan", "img", "batch", "fgrain",
-                    "pgrain", "swDNN Gflops", "cuDNN Gflops", "speedup"});
+                    "swDNN Gflops", "cuDNN Gflops", "speedup"});
   double lo_sp = 1e30, hi_sp = 0;
   std::vector<double> ours, theirs;
   int index = 0;
@@ -54,8 +54,8 @@ int main() {
     table.add_row({std::to_string(index), std::to_string(shape.ni),
                    std::to_string(shape.no), choice.plan.to_string(),
                    fmt_double(fam.img, 0), fmt_double(fam.batch, 0),
-                   fmt_double(fam.fgrain, 0), fmt_double(fam.pgrain, 0),
-                   fmt_double(g, 0), fmt_double(cud, 0), fmt_speedup(sp)});
+                   fmt_double(fam.fgrain, 0), fmt_double(g, 0),
+                   fmt_double(cud, 0), fmt_speedup(sp)});
   }
   std::printf("%s\n", table.render().c_str());
 

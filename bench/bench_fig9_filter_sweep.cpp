@@ -31,8 +31,7 @@ int main() {
   // grows; 0 = that family cannot map the shape).
   TextTable table;
   table.set_header({"#", "filter", "Ni", "No", "plan", "img", "batch",
-                    "fgrain", "pgrain", "swDNN Gflops", "cuDNN Gflops",
-                    "speedup"});
+                    "fgrain", "swDNN Gflops", "cuDNN Gflops", "speedup"});
   double lo = 1e30, hi = 0, max_sp = 0;
   int index = 0;
   for (const auto& shape : swdnn::bench::fig9_configs()) {
@@ -49,8 +48,8 @@ int main() {
                    std::to_string(shape.ni), std::to_string(shape.no),
                    choice.plan.to_string(), fmt_double(fam.img, 0),
                    fmt_double(fam.batch, 0), fmt_double(fam.fgrain, 0),
-                   fmt_double(fam.pgrain, 0), fmt_double(g, 0),
-                   fmt_double(cud, 0), fmt_speedup(g / cud)});
+                   fmt_double(g, 0), fmt_double(cud, 0),
+                   fmt_speedup(g / cud)});
   }
   std::printf("%s\n", table.render().c_str());
 

@@ -82,7 +82,7 @@ struct SweepRow {
   std::string winner_plan;
   perf::PlanKind winner_kind = perf::PlanKind::kDirect;
   double winner_gflops = 0;
-  double best_img = 0, best_batch = 0, best_fgrain = 0, best_pgrain = 0;
+  double best_img = 0, best_batch = 0, best_fgrain = 0;
   bool has_incumbent = false;
   double multigrain_modeled_speedup = 0;  ///< best mg / best incumbent
 };
@@ -103,7 +103,6 @@ SweepRow sweep_shape(conv::SwConvolution& sw, const std::string& axis,
   row.best_img = family_best(fs, perf::PlanKind::kImageSizeAware);
   row.best_batch = family_best(fs, perf::PlanKind::kBatchSizeAware);
   row.best_fgrain = family_best(fs, perf::PlanKind::kFilterGrained);
-  row.best_pgrain = family_best(fs, perf::PlanKind::kPixelGrained);
   row.has_incumbent = fs.best_incumbent.has_value();
   if (fs.best_incumbent && fs.best_multigrain) {
     row.multigrain_modeled_speedup =
@@ -182,12 +181,11 @@ MeasuredRegime measure_regime(conv::SwConvolution& sw, const std::string& name,
 void print_row(const SweepRow& row) {
   std::printf("%-6s B=%3" PRId64 " Ni=%3" PRId64 " No=%3" PRId64
               " out=%2" PRId64 " k=%2" PRId64
-              " | win %-20s %8.1f | img %8.1f batch %8.1f fgrain %8.1f "
-              "pgrain %8.1f\n",
+              " | win %-20s %8.1f | img %8.1f batch %8.1f fgrain %8.1f\n",
               row.axis.c_str(), row.shape.batch, row.shape.ni, row.shape.no,
               row.shape.ro(), row.shape.kr, row.winner_plan.c_str(),
               row.winner_gflops, row.best_img, row.best_batch,
-              row.best_fgrain, row.best_pgrain);
+              row.best_fgrain);
 }
 
 void json_rows(std::FILE* f, const char* key,
@@ -201,12 +199,12 @@ void json_rows(std::FILE* f, const char* key,
         ", \"out\": %" PRId64 ", \"k\": %" PRId64
         ", \"winner\": \"%s\", \"winner_kind\": \"%s\", "
         "\"winner_gflops_per_cg\": %.3f, \"best_img\": %.3f, "
-        "\"best_batch\": %.3f, \"best_fgrain\": %.3f, \"best_pgrain\": %.3f, "
+        "\"best_batch\": %.3f, \"best_fgrain\": %.3f, "
         "\"multigrain_modeled_speedup\": %.3f}%s\n",
         r.shape.batch, r.shape.ni, r.shape.no, r.shape.ro(), r.shape.kr,
         r.winner_plan.c_str(), perf::plan_kind_name(r.winner_kind),
         r.winner_gflops, r.best_img, r.best_batch, r.best_fgrain,
-        r.best_pgrain, r.multigrain_modeled_speedup,
+        r.multigrain_modeled_speedup,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

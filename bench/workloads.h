@@ -61,7 +61,7 @@ inline std::vector<conv::ConvShape> fig7_configs() {
 /// crossovers between mapping families are visible in the sweeps
 /// themselves, not just in bench_multigrain.
 struct PlanFamilyBests {
-  double img = 0, batch = 0, fgrain = 0, pgrain = 0;
+  double img = 0, batch = 0, fgrain = 0;
 };
 
 inline PlanFamilyBests plan_family_bests(conv::SwConvolution& sw,
@@ -82,9 +82,6 @@ inline PlanFamilyBests plan_family_bests(conv::SwConvolution& sw,
         break;
       case perf::PlanKind::kFilterGrained:
         out.fgrain = std::max(out.fgrain, g);
-        break;
-      case perf::PlanKind::kPixelGrained:
-        out.pgrain = std::max(out.pgrain, g);
         break;
     }
   }

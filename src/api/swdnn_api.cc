@@ -72,8 +72,6 @@ PlanAlgo to_plan_algo(perf::PlanKind kind) {
       return PlanAlgo::kBatchSizeAware;
     case perf::PlanKind::kFilterGrained:
       return PlanAlgo::kFilterGrained;
-    case perf::PlanKind::kPixelGrained:
-      return PlanAlgo::kPixelGrained;
   }
   return PlanAlgo::kNone;
 }

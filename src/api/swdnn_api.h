@@ -179,7 +179,10 @@ enum class PlanAlgo {
   kImageSizeAware,  ///< Algorithm 1
   kBatchSizeAware,  ///< Algorithm 2
   kFilterGrained,   ///< filters x im2col-pixels mesh GEMM
-  kPixelGrained,    ///< per-pixel panel GEMM, LDM-resident filter
+  /// Retired: the pixel-grained mapping is gone (filter-grained issues
+  /// the same launches on its shapes), so no call returns this value.
+  /// It stays so existing switches over PlanAlgo keep compiling.
+  kPixelGrained,
 };
 
 const char* plan_algo_name(PlanAlgo algo);

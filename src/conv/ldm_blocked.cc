@@ -27,23 +27,16 @@ void check_mesh_compatibility(const ConvShape& shape,
   require(plan.block_ni == 0 || plan.block_ni == shape.ni,
           "level-1 kernels contract the full Ni (no block_ni)");
 
-  if (perf::plan_kind_is_multigrain(plan.kind)) {
-    // The multigrain mappings ceil-divide and zero-pad their tiles, so
-    // no divisibility rules apply — only the LDM budget can refuse.
+  if (plan.kind == perf::PlanKind::kFilterGrained) {
+    // The filter-grained mapping ceil-divides and zero-pads its tiles,
+    // so no divisibility rules apply — only the LDM budget can refuse.
     // The budget is evaluated on the default machine with this mesh
     // dimension (the repo's specs vary only in mesh size).
     arch::Sw26010Spec spec = arch::default_spec();
     spec.mesh_rows = mesh_dim;
     spec.mesh_cols = mesh_dim;
-    if (plan.kind == perf::PlanKind::kFilterGrained) {
-      require(perf::filter_grained_k_chunk(shape, plan, spec) > 0,
-              "filter-grained tile set overflows LDM");
-    } else {
-      require(perf::ldm_bytes_required(shape, plan, spec) <=
-                  static_cast<std::int64_t>(spec.ldm_bytes -
-                                            spec.ldm_reserved_bytes),
-              "pixel-grained filter taps overflow LDM");
-    }
+    require(perf::filter_grained_k_chunk(shape, plan, spec) > 0,
+            "filter-grained tile set overflows LDM");
     return;
   }
 
@@ -64,7 +57,6 @@ void check_mesh_compatibility(const ConvShape& shape,
     case perf::PlanKind::kDirect:
       throw MeshMappingError("direct plan has no mesh kernel");
     case perf::PlanKind::kFilterGrained:
-    case perf::PlanKind::kPixelGrained:
       break;  // handled above
   }
 }

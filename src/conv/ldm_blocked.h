@@ -46,9 +46,9 @@ class MeshMappingError : public std::invalid_argument {
 /// `mesh_dim` x `mesh_dim` mesh: Ni, No, and the batch tile (block_b
 /// for the image plan, B for the batch plan) must be multiples of
 /// mesh_dim, batch a multiple of block_b (image plan), and Co a
-/// multiple of block_co. The multigrain mappings (multigrain.h) skip
-/// the divisibility rules — their tiles are ceil-divided — and are
-/// refused only for strides != 1 or when their tile set overflows LDM.
+/// multiple of block_co. The filter-grained mapping (multigrain.h)
+/// skips the divisibility rules — its tiles are ceil-divided — and is
+/// refused only for strides != 1 or when its tile set overflows LDM.
 void check_mesh_compatibility(const ConvShape& shape,
                               const perf::ConvPlan& plan, int mesh_dim);
 

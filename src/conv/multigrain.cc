@@ -6,15 +6,10 @@
 
 #include "src/conv/ldm_blocked.h"
 #include "src/conv/mesh_gemm_driver.h"
-#include "src/conv/regcomm_gemm.h"
 
 namespace swdnn::conv {
 
 namespace {
-
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
-}
 
 std::int64_t resolve_ro_end(const ConvShape& shape, std::int64_t ro_end) {
   return ro_end < 0 ? shape.ro() : ro_end;
@@ -115,124 +110,6 @@ sim::LaunchStats run_filter_grained(sim::MeshExecutor& exec,
     }
   }
   return total;
-}
-
-sim::LaunchStats run_pixel_grained(sim::MeshExecutor& exec,
-                                   const tensor::Tensor& input,
-                                   const tensor::Tensor& filter,
-                                   tensor::Tensor& output,
-                                   const ConvShape& shape,
-                                   const perf::ConvPlan& plan,
-                                   std::int64_t ro_begin,
-                                   std::int64_t ro_end) {
-  const auto& spec = exec.spec();
-  const std::int64_t p = spec.mesh_rows;
-  check_mesh_compatibility(shape, plan, static_cast<int>(p));
-  ro_end = resolve_ro_end(shape, ro_end);
-  if (ro_end <= ro_begin) return {};
-
-  const std::int64_t ni_t = ceil_div(shape.ni, p);
-  const std::int64_t no_t = ceil_div(shape.no, p);
-  const std::int64_t b_t = ceil_div(shape.batch, p);
-  const std::int64_t taps = shape.kr * shape.kc;
-  const std::int64_t big_co = shape.co();
-  const std::int64_t ni = shape.ni;
-  const std::int64_t no = shape.no;
-  const std::int64_t big_b = shape.batch;
-  const std::int64_t ci = shape.ci;
-
-  std::span<const double> in = input.data();
-  std::span<const double> w_all = filter.data();
-  std::span<double> out = output.data();
-
-  auto kernel = [&, ro_begin, ro_end](sim::CpeContext& ctx) {
-    const std::int64_t i = ctx.row();
-    const std::int64_t j = ctx.col();
-
-    auto w_taps = ctx.ldm().alloc_doubles(
-        static_cast<std::size_t>(taps * ni_t * no_t));
-    auto w_recv =
-        ctx.ldm().alloc_doubles(static_cast<std::size_t>(ni_t * no_t));
-    auto di_tile =
-        ctx.ldm().alloc_doubles(static_cast<std::size_t>(ni_t * b_t));
-    auto di_recv =
-        ctx.ldm().alloc_doubles(static_cast<std::size_t>(ni_t * b_t));
-    auto do_tile =
-        ctx.ldm().alloc_doubles(static_cast<std::size_t>(no_t * b_t));
-
-    const std::int64_t valid_no =
-        std::clamp<std::int64_t>(no - i * no_t, 0, no_t);
-    const std::int64_t valid_b =
-        std::clamp<std::int64_t>(big_b - j * b_t, 0, b_t);
-
-    // Preload every filter tap tile once: W(i,j) = output-channel block
-    // i x input-channel block j (the Fig. 3 distribution), [ni_t][no_t]
-    // row-major, zero-padded at the ragged edges.
-    for (std::int64_t t = 0; t < taps; ++t) {
-      std::span<double> tile = std::span<double>(w_taps).subspan(
-          static_cast<std::size_t>(t * ni_t * no_t),
-          static_cast<std::size_t>(ni_t * no_t));
-      for (std::int64_t r = 0; r < ni_t; ++r) {
-        std::span<double> row =
-            tile.subspan(static_cast<std::size_t>(r * no_t),
-                         static_cast<std::size_t>(no_t));
-        const std::int64_t ni_idx = j * ni_t + r;
-        const std::int64_t valid = ni_idx < ni ? valid_no : 0;
-        if (valid > 0) {
-          ctx.dma_get({w_all.data() + (t * ni + ni_idx) * no + i * no_t,
-                       static_cast<std::size_t>(valid)},
-                      row.first(static_cast<std::size_t>(valid)));
-        }
-        std::fill(row.begin() + valid, row.end(), 0.0);
-      }
-    }
-
-    for (std::int64_t ro = ro_begin; ro < ro_end; ++ro) {
-      for (std::int64_t co = 0; co < big_co; ++co) {
-        std::fill(do_tile.begin(), do_tile.end(), 0.0);
-        for (std::int64_t t = 0; t < taps; ++t) {
-          const std::int64_t kr = t / shape.kc;
-          const std::int64_t kc = t % shape.kc;
-          // Di tile: input-channel block i x batch block j.
-          for (std::int64_t r = 0; r < ni_t; ++r) {
-            std::span<double> row =
-                di_tile.subspan(static_cast<std::size_t>(r * b_t),
-                                static_cast<std::size_t>(b_t));
-            const std::int64_t ni_idx = i * ni_t + r;
-            const std::int64_t valid = ni_idx < ni ? valid_b : 0;
-            if (valid > 0) {
-              ctx.dma_get(
-                  {in.data() +
-                       (((ro + kr) * ci + (co + kc)) * ni + ni_idx) * big_b +
-                       j * b_t,
-                   static_cast<std::size_t>(valid)},
-                  row.first(static_cast<std::size_t>(valid)));
-            }
-            std::fill(row.begin() + valid, row.end(), 0.0);
-          }
-          mesh_gemm_accumulate(
-              ctx,
-              std::span<const double>(w_taps).subspan(
-                  static_cast<std::size_t>(t * ni_t * no_t),
-                  static_cast<std::size_t>(ni_t * no_t)),
-              di_tile, do_tile, w_recv, di_recv, static_cast<int>(no_t),
-              static_cast<int>(ni_t), static_cast<int>(b_t));
-        }
-        for (std::int64_t ml = 0; ml < valid_no; ++ml) {
-          if (valid_b == 0) break;
-          const std::int64_t no_idx = i * no_t + ml;
-          ctx.dma_put(
-              std::span<const double>(do_tile).subspan(
-                  static_cast<std::size_t>(ml * b_t),
-                  static_cast<std::size_t>(valid_b)),
-              {out.data() + ((ro * big_co + co) * no + no_idx) * big_b +
-                   j * b_t,
-               static_cast<std::size_t>(valid_b)});
-        }
-      }
-    }
-  };
-  return exec.run(kernel);
 }
 
 }  // namespace swdnn::conv

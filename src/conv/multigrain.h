@@ -1,29 +1,21 @@
 #pragma once
-// The multi-grained convolution mappings (MG3MConv's insight applied to
+// The multi-grained convolution mapping (MG3MConv's insight applied to
 // this library; DESIGN.md §16).
 //
 // The paper's two LDM-blocked algorithms (ldm_blocked.h) demand mesh-
 // divisible channels and batch tiles; outside that band dispatch used
-// to fall all the way back to the host GEMM. These two mappings close
-// the gap with different grains of the same mesh GEMM:
+// to fall all the way back to the host GEMM. The filter-grained mapping
+// closes the gap with a different grain of the same mesh GEMM: the
+// im2col lowering executed on the mesh, one [Kr*Kc*Ni x No] filter
+// matrix (the filter tensor's natural flattening) against pixel-column
+// panels of the patch matrix, streamed through mesh_gemm in
+// plan.block_px-wide passes. Any stride-1 shape maps while its tile set
+// fits LDM; the contraction spans the whole Kr*Kc*Ni extent, so the
+// inner pipeline stays long even when Ni is tiny. It pays the lowering
+// traffic (the patch gather re-reads the input Kr*Kc times and stages
+// the column matrix through memory).
 //
-//   * filter-grained — im2col lowering executed on the mesh: one
-//     [Kr*Kc*Ni x No] filter matrix (the filter tensor's natural
-//     flattening) against pixel-column panels of the patch matrix,
-//     streamed through mesh_gemm in plan.block_px-wide passes. Any
-//     stride-1 shape maps; the contraction spans the whole Kr*Kc*Ni
-//     extent, so the inner pipeline stays long even when Ni is tiny.
-//     Pays the lowering traffic (the patch gather re-reads the input
-//     Kr*Kc times and stages the column matrix through memory).
-//
-//   * pixel-grained — per-output-pixel panel GEMM with every filter tap
-//     LDM-resident: for each (ro, co) the mesh contracts out[No x B] +=
-//     sum over (kr, kc) of W_tap[Ni x No]^T x in[Ni x B]. The filter
-//     crosses the memory interface exactly once per launch; feasible
-//     only while all Kr*Kc tap tiles fit LDM — the small-shape regime's
-//     mapping.
-//
-// Bitwise contract: both mappings accumulate each output element's
+// Bitwise contract: the mapping accumulates each output element's
 // contributions in ascending (kr, kc, ni) order — the reference loop's
 // order — so outputs are bitwise identical to reference_forward (and to
 // the paper's two mappings), not merely close.
@@ -47,16 +39,5 @@ sim::LaunchStats run_filter_grained(sim::MeshExecutor& exec,
                                     const perf::ConvPlan& plan,
                                     std::int64_t ro_begin = 0,
                                     std::int64_t ro_end = -1);
-
-/// Pixel-grained forward for output rows [ro_begin, ro_end): a single
-/// launch; every CPE walks the same (ro, co, kr, kc) nest in lockstep.
-sim::LaunchStats run_pixel_grained(sim::MeshExecutor& exec,
-                                   const tensor::Tensor& input,
-                                   const tensor::Tensor& filter,
-                                   tensor::Tensor& output,
-                                   const ConvShape& shape,
-                                   const perf::ConvPlan& plan,
-                                   std::int64_t ro_begin = 0,
-                                   std::int64_t ro_end = -1);
 
 }  // namespace swdnn::conv

@@ -56,10 +56,6 @@ sim::LaunchStats run_plan(sim::MeshExecutor& exec, const perf::ConvPlan& plan,
       stats = run_filter_grained(exec, input, filter, output, shape, plan,
                                  ro_begin, ro_end);
       break;
-    case perf::PlanKind::kPixelGrained:
-      stats = run_pixel_grained(exec, input, filter, output, shape, plan,
-                                ro_begin, ro_end);
-      break;
     case perf::PlanKind::kDirect:
       throw MeshMappingError("direct plan has no mesh kernel");
   }
@@ -175,25 +171,23 @@ SwConvolution::autotune_plan_measured(const ConvShape& shape) {
   perf::CachedPlan& tuned_entry = *tuned;
 
   // Phase 2: confirm the top modeled candidates with timed launches —
-  // a tournament of up to three: the model's top mesh-executable pick
-  // plus the best executable rival from EACH of the two other mapping
-  // families (cross-family is where the model's ordering is least
-  // trustworthy — the families score close on very different cost
-  // structures, so one timed launch per family settles it).
+  // a tournament of up to two: the model's top mesh-executable pick
+  // plus the best executable rival from the other mapping family
+  // (cross-family is where the model's ordering is least trustworthy —
+  // the families score close on very different cost structures, so one
+  // timed launch per family settles it).
   perf::MeasuredAutotuneReport report;
   report.shape = shape;
   if (tuned_entry.executable.size() >= 2) {
     std::vector<std::size_t> contenders{tuned_entry.executable[0]};
+    const perf::PlanFamily top_family =
+        perf::plan_kind_family(tuned_entry.ranked[contenders[0]].plan.kind);
     for (const std::size_t idx : tuned_entry.executable) {
-      const perf::PlanFamily family =
-          perf::plan_kind_family(tuned_entry.ranked[idx].plan.kind);
-      bool seen = false;
-      for (const std::size_t c : contenders) {
-        seen |= perf::plan_kind_family(tuned_entry.ranked[c].plan.kind) ==
-                family;
+      if (perf::plan_kind_family(tuned_entry.ranked[idx].plan.kind) !=
+          top_family) {
+        contenders.push_back(idx);
+        break;
       }
-      if (!seen) contenders.push_back(idx);
-      if (contenders.size() == 3) break;
     }
 
     tensor::Tensor input = make_input(shape);
@@ -225,24 +219,21 @@ SwConvolution::autotune_plan_measured(const ConvShape& shape) {
       report.candidates.push_back(timed(tuned_entry.ranked[idx]));
     }
 
-    // The model's pick keeps the crown unless a rival measured
-    // STRICTLY faster (a faulted launch, seconds == 0, never wins);
-    // among rivals, better rank breaks ties.
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < report.candidates.size(); ++j) {
-      const double tb = report.candidates[best].measured_seconds;
-      const double tj = report.candidates[j].measured_seconds;
-      if (tj > 0 && (tb <= 0 || tj < tb)) best = j;
-    }
-    if (best != 0) {
-      // Swap the winner into the top rank. Both positions are
-      // executable, so the executable index list stays valid and
-      // best_executable() now serves the measured winner — an
-      // explicit, reported reorder.
-      std::swap(tuned_entry.ranked[contenders[0]],
-                tuned_entry.ranked[contenders[best]]);
-      report.reordered = true;
-      report.winner_index = best;
+    // The model's pick keeps the crown unless the rival measured
+    // STRICTLY faster (a faulted launch, seconds == 0, never wins).
+    if (report.candidates.size() == 2) {
+      const double t_pick = report.candidates[0].measured_seconds;
+      const double t_rival = report.candidates[1].measured_seconds;
+      if (t_rival > 0 && (t_pick <= 0 || t_rival < t_pick)) {
+        // Swap the winner into the top rank. Both positions are
+        // executable, so the executable index list stays valid and
+        // best_executable() now serves the measured winner — an
+        // explicit, reported reorder.
+        std::swap(tuned_entry.ranked[contenders[0]],
+                  tuned_entry.ranked[contenders[1]]);
+        report.reordered = true;
+        report.winner_index = 1;
+      }
     }
   } else if (!tuned_entry.executable.empty()) {
     const auto& only = tuned_entry.ranked[tuned_entry.executable[0]];
@@ -298,21 +289,26 @@ sim::MultiCgStats SwConvolution::forward_multi_cg(
     const tensor::Tensor& input, const tensor::Tensor& filter,
     tensor::Tensor& output, const ConvShape& shape, int num_cgs,
     std::optional<perf::ConvPlan> plan) {
+  if (num_cgs < 1 || num_cgs > spec_.num_core_groups) {
+    throw std::invalid_argument("forward_multi_cg: bad core-group count");
+  }
   const perf::ConvPlan p =
       plan.has_value() ? *plan : plan_for(shape, true).plan;
   const auto parts = sim::partition_output_rows(shape.ro(), num_cgs);
-  sim::MultiCgStats stats;
-  stats.launch_overhead_seconds = 2e-6;
-  std::lock_guard<std::mutex> launch_lock(exec_mutex_);
-  sim::MeshExecutor& exec = shared_executor();
-  for (std::size_t cg = 0; cg < parts.size(); ++cg) {
-    const auto& part = parts[cg];
-    if (injector_ != nullptr &&
-        injector_->poll_noc_link(static_cast<int>(cg))) {
+  // Every link is polled before the first launch, so a severed one
+  // leaves `output` untouched.
+  for (int cg = 0; cg < num_cgs; ++cg) {
+    if (injector_ != nullptr && injector_->poll_noc_link(cg)) {
       throw sim::LaunchFault(
           "NoC link to core group " + std::to_string(cg) + " is down",
           /*persistent=*/true);
     }
+  }
+  sim::MultiCgStats stats;
+  stats.launch_overhead_seconds = 2e-6;
+  std::lock_guard<std::mutex> launch_lock(exec_mutex_);
+  sim::MeshExecutor& exec = shared_executor();
+  for (const sim::RowPartition& part : parts) {
     stats.per_cg.push_back(run_plan(exec, p, input, filter, output, shape,
                                     part.begin, part.end));
   }
@@ -391,18 +387,6 @@ double SwConvolution::cycle_accounted_gflops_per_cg(
       bus_bytes_cpe = chunks * (p - 1.0) * (k_t * m_t + k_t * n_t) * ds;
       gemm_steps = chunks * p;
       dma_requests = chunks * 2.0 * k_t + m_t;
-      break;
-    }
-    case perf::PlanKind::kPixelGrained: {
-      // Outer step = one (ro, co) output pixel: Kr*Kc tap GEMMs on
-      // ceil-divided [Ni/p x No/p] x [Ni/p x B/p] tiles.
-      const double ni_t = std::ceil(ni / static_cast<double>(p));
-      const double no_t = std::ceil(no / static_cast<double>(p));
-      const double b_t = std::ceil(b / static_cast<double>(p));
-      flops_cpe_step = 2.0 * krkc * p * ni_t * no_t * b_t;
-      bus_bytes_cpe = krkc * (p - 1.0) * (ni_t * no_t + ni_t * b_t) * ds;
-      gemm_steps = krkc * p;
-      dma_requests = krkc * ni_t + no_t;
       break;
     }
     case perf::PlanKind::kDirect:

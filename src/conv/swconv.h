@@ -70,7 +70,12 @@ class SwConvolution {
                                    const ConvShape& shape);
 
   /// Functional forward with output rows partitioned across `num_cgs`
-  /// core groups (the paper's §III-D scaling scheme).
+  /// core groups (the paper's §III-D scaling scheme): one launch per
+  /// CG on the shared executor, modeled as concurrent plus a fixed
+  /// launch overhead. Throws std::invalid_argument unless 1 <= num_cgs
+  /// <= spec().num_core_groups, and a persistent sim::LaunchFault before
+  /// any launch (so `output` is untouched) when the attached injector
+  /// has severed the NoC link to one of the requested core groups.
   sim::MultiCgStats forward_multi_cg(
       const tensor::Tensor& input, const tensor::Tensor& filter,
       tensor::Tensor& output, const ConvShape& shape, int num_cgs,
@@ -107,10 +112,10 @@ class SwConvolution {
 
   /// Measured autotune (DESIGN.md §16): schedule-tunes the ranking like
   /// autotune_plan, then *confirms* the top modeled candidates with
-  /// timed simulator launches — the top two mesh-executable entries,
-  /// preferring a pair from different mapping families — on
-  /// deterministic synthetic data. If the runner-up measures strictly
-  /// faster (LaunchStats::modeled_seconds under the plan's buffering
+  /// timed simulator launches — the model's top mesh-executable pick
+  /// and the best executable entry of the other mapping family, when
+  /// one maps — on deterministic synthetic data. If the rival measures
+  /// strictly faster (LaunchStats::modeled_seconds under the plan's buffering
   /// mode), the two entries swap places before the ranking is installed
   /// — an explicit, reported reorder, never a silent one. Counter-
   /// neutral and idempotent like autotune_plan (shares its tuned-shapes

@@ -101,13 +101,12 @@ void Convolution::plan(const std::vector<std::int64_t>& input_dims) {
 // Route fidelity: a kHostIm2col layer must run the im2col kernels in
 // both regimes. It used to be safe to send every compiled conv through
 // the API — ragged shapes had no mesh mapping, so the API landed on the
-// host im2col fallback anyway — but the multigrain mappings (pixel-
-// grained in particular) make almost any stride-1 shape
-// mesh-executable, and the mesh kernels accumulate in reference
-// (kr,kc,ni) order while im2col lowers K as (ni,kr,kc): correct to
-// 1e-15 but not bitwise. The compiled/eager bitwise differential
-// therefore requires the layer's declared backend to pick the route,
-// not the plan chooser.
+// host im2col fallback anyway — but the filter-grained mapping makes
+// almost any stride-1 shape mesh-executable, and the mesh kernels
+// accumulate in reference (kr,kc,ni) order while im2col lowers K as
+// (ni,kr,kc): correct to 1e-15 but not bitwise. The compiled/eager
+// bitwise differential therefore requires the layer's declared backend
+// to pick the route, not the plan chooser.
 void Convolution::forward_view(const tensor::TensorView& input,
                                tensor::TensorView& output) {
   input_view_ = input;

@@ -36,11 +36,11 @@ PlanChoice ScheduleAutotuner::tune_choice(const conv::ConvShape& shape,
               break;
             case PlanKind::kDirect:
             case PlanKind::kFilterGrained:
-            case PlanKind::kPixelGrained:
               // Nothing to promote: the direct strawman has no DMA
-              // loop to hoist and the multigrain mappings derive their
-              // DMA schedule from the shape. Their rb_b/rb_no register
-              // schedule is still searched by the enclosing loops.
+              // loop to hoist and the filter-grained mapping derives
+              // its DMA schedule from the shape. Their rb_b/rb_no
+              // register schedule is still searched by the enclosing
+              // loops.
               break;
           }
           if (!promotable) continue;  // identical to promote=false

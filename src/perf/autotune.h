@@ -58,8 +58,8 @@ struct MeasuredCandidate {
 
 /// What a measured-autotune run decided (SwConvolution::
 /// autotune_plan_measured): the tournament field — the model's top
-/// executable pick plus the best executable rival from each other
-/// mapping family (up to three candidates) — their timed launches, and
+/// executable pick plus the best executable rival from the other
+/// mapping family (up to two candidates) — their timed launches, and
 /// whether measurement overturned the model's order.
 struct MeasuredAutotuneReport {
   conv::ConvShape shape;

@@ -76,14 +76,13 @@ std::vector<PlanChoice> PlanChooser::rank(const conv::ConvShape& shape) const {
     }
   }
 
-  // Multigrain candidates (MG3MConv's per-regime mappings). Enumerated
+  // Multigrain candidates (MG3MConv's per-regime mapping). Enumerated
   // after the paper's plans so stable_sort keeps the incumbents ahead on
-  // exact score ties; the new mappings must *win* a regime to lead the
+  // exact score ties; the new mapping must *win* a regime to lead the
   // ranking. The filter-grained lowering is scored at its derived
   // pixel block plus a few explicit blocks (smaller blocks lengthen the
   // LDM contraction chunk, larger ones amortize the filter re-read —
-  // the crossover is shape-dependent). The pixel-grained mapping has no
-  // blocking knob at all.
+  // the crossover is shape-dependent).
   {
     const std::int64_t px_cap =
         ((conv_pixels(shape) + spec_.mesh_rows - 1) / spec_.mesh_rows) *
@@ -114,12 +113,6 @@ std::vector<PlanChoice> PlanChooser::rank(const conv::ConvShape& shape) const {
       }
       seen_blocks.push_back(resolved);
       choices.push_back({plan, model_.estimate(shape, plan)});
-    }
-
-    ConvPlan pg;
-    pg.kind = PlanKind::kPixelGrained;
-    if (plan_feasible(shape, pg, spec_)) {
-      choices.push_back({pg, model_.estimate(shape, pg)});
     }
   }
 

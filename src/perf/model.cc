@@ -88,18 +88,6 @@ double PerformanceModel::rbw_filter_grained(const conv::ConvShape& shape,
   return (filter_term + lowering_term + output_term) * kDs * t / 2.0;
 }
 
-double PerformanceModel::rbw_pixel_grained(const conv::ConvShape& shape,
-                                           const ConvPlan& plan) const {
-  (void)plan;
-  const double t = spec_.peak_gflops_per_cg();
-  const double k = static_cast<double>(shape.kr * shape.kc * shape.ni);
-  const double p = static_cast<double>(conv_pixels(shape));
-  const double input_term = 1.0 / static_cast<double>(shape.no);
-  const double output_term = 1.0 / k;
-  const double filter_term = 1.0 / p;
-  return (input_term + output_term + filter_term) * kDs * t / 2.0;
-}
-
 double PerformanceModel::rbw_register_simd(const ConvPlan& plan) const {
   // Eq. (5): (rbB + 4*rbNo) * DS / (2*rbB*rbNo / T_cpe); the 4x on the
   // filter term pays for replicating a scalar across the vector lanes.
@@ -203,25 +191,6 @@ TrafficBreakdown PerformanceModel::traffic(const conv::ConvShape& shape,
     t.output.direction = DmaDirection::kPut;
     break;
   }
-  case PlanKind::kPixelGrained: {
-    // The filter is fetched exactly once and stays LDM-resident; every
-    // output pixel then streams one [Ni x B] input tile per tap and
-    // puts its [No x B] panel.
-    const double k_rows = kr * kc * ni;
-    const double pixels = ro * co * b;
-    const std::int64_t b_t =
-        (shape.batch + spec_.mesh_rows - 1) / spec_.mesh_rows;
-    const std::int64_t no_t =
-        (shape.no + spec_.mesh_cols - 1) / spec_.mesh_cols;
-    t.input.bytes = k_rows * pixels * kDs;
-    t.input.block_bytes = b_t * 8;
-    t.filter.bytes = k_rows * no * kDs;
-    t.filter.block_bytes = no_t * 8;
-    t.output.bytes = no * pixels * kDs;
-    t.output.block_bytes = b_t * 8;
-    t.output.direction = DmaDirection::kPut;
-    break;
-  }
   case PlanKind::kDirect: {
     // Direct gload: every operand from memory, zero reuse below
     // registers.
@@ -293,9 +262,6 @@ PerfEstimate PerformanceModel::estimate(const conv::ConvShape& shape,
     case PlanKind::kFilterGrained:
       e.rbw_mem_gbs = rbw_filter_grained(shape, plan);
       break;
-    case PlanKind::kPixelGrained:
-      e.rbw_mem_gbs = rbw_pixel_grained(shape, plan);
-      break;
   }
   if (!plan.use_register_comm) {
     // Without mesh data sharing, each CPE fetches all Ni input channels
@@ -310,10 +276,9 @@ PerfEstimate PerformanceModel::estimate(const conv::ConvShape& shape,
   e.mbw_ldm_gbs = spec_.ldm_reg_bandwidth_gbs;
 
   // EE depends on the inner-loop trip count: the (possibly blocked)
-  // input-channel extent for the paper's mappings, the LDM contraction
-  // chunk for the filter-grained GEMM (its pipeline drains once per
-  // chunk, not per channel block), and the per-tap Ni contraction for
-  // the pixel-grained panels (they drain at every tap).
+  // input-channel extent for the paper's mappings, and the LDM
+  // contraction chunk for the filter-grained GEMM (its pipeline drains
+  // once per chunk, not per channel block).
   std::int64_t inner_trip =
       plan.block_ni > 0 ? std::min(plan.block_ni, shape.ni) : shape.ni;
   if (plan.kind == PlanKind::kFilterGrained) {

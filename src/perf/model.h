@@ -88,13 +88,6 @@ class PerformanceModel {
   double rbw_filter_grained(const conv::ConvShape& shape,
                             const ConvPlan& plan) const;
 
-  /// Required MEM->LDM bandwidth of the pixel-grained mapping:
-  /// (1/No + 1/K + 1/P) * DS * T/2 with P = Ro*Co*B. The filter is read
-  /// exactly once (1/P), the input once per tap (1/No), plus the output
-  /// put (1/K) — no lowering traffic at all.
-  double rbw_pixel_grained(const conv::ConvShape& shape,
-                           const ConvPlan& plan) const;
-
   /// Required LDM->REG bandwidth with SIMD filter replication, Eq. (5)
   /// (GB/s per CPE). rb_no filter elements cost 4x: a scalar is loaded
   /// and splatted into a vector.

@@ -37,8 +37,6 @@ const char* plan_kind_name(PlanKind kind) {
       return "batch";
     case PlanKind::kFilterGrained:
       return "fgrain";
-    case PlanKind::kPixelGrained:
-      return "pgrain";
   }
   return "?";
 }
@@ -50,7 +48,6 @@ bool plan_kind_is_multigrain(PlanKind kind) {
     case PlanKind::kBatchSizeAware:
       return false;
     case PlanKind::kFilterGrained:
-    case PlanKind::kPixelGrained:
       return true;
   }
   return false;
@@ -64,8 +61,6 @@ PlanFamily plan_kind_family(PlanKind kind) {
       return PlanFamily::kIncumbent;
     case PlanKind::kFilterGrained:
       return PlanFamily::kFilterGrained;
-    case PlanKind::kPixelGrained:
-      return PlanFamily::kPixelGrained;
   }
   return PlanFamily::kIncumbent;
 }
@@ -76,8 +71,6 @@ const char* plan_family_name(PlanFamily family) {
       return "incumbent";
     case PlanFamily::kFilterGrained:
       return "fgrain";
-    case PlanFamily::kPixelGrained:
-      return "pgrain";
   }
   return "?";
 }
@@ -96,8 +89,6 @@ std::string ConvPlan::to_string() const {
       break;
     case PlanKind::kFilterGrained:
       s += "(bPx=" + std::to_string(block_px) + ")";
-      break;
-    case PlanKind::kPixelGrained:
       break;
   }
   if (block_ni > 0) s += "-bNi" + std::to_string(block_ni);
@@ -183,18 +174,6 @@ std::int64_t ldm_bytes_required(const conv::ConvShape& shape,
     return ds * (2 * k_t * (m_t + n_t) + m_t * n_t + n_t);
   }
 
-  if (plan.kind == PlanKind::kPixelGrained) {
-    // All Kr*Kc filter tap tiles stay resident; one input tile (plus
-    // its regcomm receive buffer and the filter receive buffer) and one
-    // output accumulator tile cycle per pixel.
-    const std::int64_t ni_t = ceil_div(shape.ni, rows);
-    const std::int64_t no_t = ceil_div(shape.no, cols);
-    const std::int64_t b_t = ceil_div(shape.batch, rows);
-    const std::int64_t taps = shape.kr * shape.kc;
-    return ds * (taps * ni_t * no_t + ni_t * no_t + 2 * ni_t * b_t +
-                 no_t * b_t);
-  }
-
   auto ceil_div_l = [](std::int64_t a, std::int64_t b) {
     return (a + b - 1) / b;
   };
@@ -235,16 +214,14 @@ std::int64_t ldm_bytes_required(const conv::ConvShape& shape,
 bool plan_feasible(const conv::ConvShape& shape, const ConvPlan& plan,
                    const arch::Sw26010Spec& spec) {
   if (plan.kind == PlanKind::kDirect) return true;
-  if (plan_kind_is_multigrain(plan.kind)) {
-    // The multigrain mappings derive their own tiling from the shape:
-    // no bCo/bB knobs, and they contract the full channel depth (bNi
-    // blocking would change the summation grouping the mappings pin
+  if (plan.kind == PlanKind::kFilterGrained) {
+    // The filter-grained mapping derives its own tiling from the shape:
+    // no bCo/bB knobs, and it contracts the full channel depth (bNi
+    // blocking would change the summation grouping the mapping pins
     // down for bitwise identity).
     if (plan.block_ni != 0) return false;
-    if (plan.kind == PlanKind::kFilterGrained) {
-      if (plan.block_px < 0) return false;
-      if (filter_grained_k_chunk(shape, plan, spec) <= 0) return false;
-    }
+    if (plan.block_px < 0) return false;
+    if (filter_grained_k_chunk(shape, plan, spec) <= 0) return false;
   } else {
     if (plan.block_co <= 0 || plan.block_co > shape.co()) return false;
     if (plan.kind == PlanKind::kImageSizeAware) {

@@ -8,7 +8,7 @@
 // plans; the chooser picks the best feasible one; the functional
 // kernels execute them.
 //
-// The mapping family (MG3MConv's insight, applied to this library):
+// The mapping families (MG3MConv's insight, applied to this library):
 //   * kImageSizeAware / kBatchSizeAware — the paper's Algorithm 1/2
 //     loop transformations of the direct convolution. Strongest on the
 //     well-provisioned evaluation band (B=128, channels >= 64, mesh-
@@ -20,11 +20,6 @@
 //     whole Kr*Kc*Ni extent, so the inner pipeline stays long even
 //     when Ni alone is tiny. Pays for the lowering: the patch gather
 //     reads the input Kr*Kc times and stages it through memory.
-//   * kPixelGrained — per-output-pixel panel GEMM with the whole
-//     filter resident in LDM: out(ro,co)[No x B] accumulates one
-//     Ni-contraction per tap. No lowering traffic and no divisibility
-//     constraint at all (any stride-1 Ni/No/B/H/W), but the filter
-//     must fit LDM — the small-shape regime's mapping.
 
 #include <cstdint>
 #include <string>
@@ -39,25 +34,22 @@ enum class PlanKind {
   kImageSizeAware,  ///< Algorithm 1: block on Co and B
   kBatchSizeAware,  ///< Algorithm 2: stream pixels, amortize over B
   kFilterGrained,   ///< filters x im2col-pixels mesh GEMM (any shape)
-  kPixelGrained,    ///< per-output-pixel panel GEMM, LDM-resident filter
 };
 
 const char* plan_kind_name(PlanKind kind);
 
-/// True for the mappings added by the multi-grained family (useful for
+/// True for the mapping added by the multi-grained family (useful for
 /// benches and tests that compare "new mapping vs incumbent").
 bool plan_kind_is_multigrain(PlanKind kind);
 
-/// The three mapping families with fundamentally different cost
-/// structures — direct/blocked loads, im2col-lowered GEMM, and
-/// pixel-panel GEMM. The measured-autotune tournament confirms the
-/// model's top pick against the best executable rival of each OTHER
-/// family, because cross-family is where the model's ordering is least
-/// trustworthy.
+/// The two mapping families with fundamentally different cost
+/// structures — direct/blocked loads and the im2col-lowered GEMM. The
+/// measured-autotune tournament confirms the model's top pick against
+/// the best executable rival of the OTHER family, because cross-family
+/// is where the model's ordering is least trustworthy.
 enum class PlanFamily {
   kIncumbent,      ///< kDirect / kImageSizeAware / kBatchSizeAware
   kFilterGrained,  ///< kFilterGrained
-  kPixelGrained,   ///< kPixelGrained
 };
 
 PlanFamily plan_kind_family(PlanKind kind);
@@ -105,8 +97,7 @@ struct ConvPlan {
 };
 
 /// Flattened output-pixel extent Ro*Co*B — the n axis of the
-/// filter-grained GEMM and the pixel count the pixel-grained mapping
-/// loops over.
+/// filter-grained GEMM.
 std::int64_t conv_pixels(const conv::ConvShape& shape);
 
 /// The pixel-column block the filter-grained mapping will actually use:
@@ -127,9 +118,9 @@ std::int64_t filter_grained_k_chunk(const conv::ConvShape& shape,
 /// paper's mesh data distribution (each CPE holds 1/64 of every tile:
 /// Ni/8 input channels on its column, No/8 output channels, B/8 or bB/8
 /// of the batch on its row). Double buffering doubles the streamed
-/// tiles. Promotion enlarges the hoisted tile. The multigrain mappings
-/// use ceil-divided tiles and (filter-grained) the minimum one-row
-/// contraction chunk.
+/// tiles. Promotion enlarges the hoisted tile. The filter-grained
+/// mapping uses ceil-divided tiles and the contraction chunk its mesh
+/// GEMM driver will pick.
 std::int64_t ldm_bytes_required(const conv::ConvShape& shape,
                                 const ConvPlan& plan,
                                 const arch::Sw26010Spec& spec);

@@ -107,7 +107,8 @@ class LaunchFault : public std::runtime_error {
 };
 
 /// The stateful injection engine for one campaign. Attach to a
-/// MeshExecutor (and/or NocSystem); poll_* methods advance the per-unit
+/// MeshExecutor (SwConvolution's forward_multi_cg also polls its NoC
+/// links); poll_* methods advance the per-unit
 /// sequence counter for their site, decide deterministically, and log a
 /// FaultEvent when they fire. Thread-safe: the spawned-thread
 /// reference's CPE threads poll concurrently.

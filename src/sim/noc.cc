@@ -54,35 +54,4 @@ double MultiCgStats::scaling_speedup(bool overlap) const {
   return parallel > 0 ? serial / parallel : 0.0;
 }
 
-NocSystem::NocSystem(const arch::Sw26010Spec& spec,
-                     double launch_overhead_seconds)
-    : spec_(spec), launch_overhead_seconds_(launch_overhead_seconds) {}
-
-MultiCgStats NocSystem::run_partitioned(
-    std::int64_t total_output_rows, int num_cgs,
-    const std::function<MeshExecutor::Kernel(int, RowPartition)>&
-        make_kernel) {
-  if (num_cgs < 1 || num_cgs > spec_.num_core_groups) {
-    throw std::invalid_argument("run_partitioned: bad core-group count");
-  }
-  const auto parts = partition_output_rows(total_output_rows, num_cgs);
-  if (injector_ != nullptr) {
-    for (int cg = 0; cg < num_cgs; ++cg) {
-      if (injector_->poll_noc_link(cg)) {
-        throw LaunchFault("NoC link to core group " + std::to_string(cg) +
-                              " is down",
-                          /*persistent=*/true);
-      }
-    }
-  }
-  MultiCgStats stats;
-  stats.launch_overhead_seconds = launch_overhead_seconds_;
-  if (exec_ == nullptr) exec_ = std::make_unique<MeshExecutor>(spec_);
-  exec_->set_fault_injector(injector_);
-  for (int cg = 0; cg < num_cgs; ++cg) {
-    stats.per_cg.push_back(exec_->run(make_kernel(cg, parts[cg])));
-  }
-  return stats;
-}
-
 }  // namespace swdnn::sim

@@ -5,13 +5,12 @@
 // paper's scaling scheme (Section III-D) partitions the output images
 // into four parts along the row dimension, one per CG; each CG owns its
 // memory controller so partitions stream independently, and filters live
-// in the shared memory space. We reproduce that: the partition math, a
-// functional runner that executes one mesh launch per partition, and the
-// scaling model (per-CG time + a fixed launch overhead).
+// in the shared memory space. We reproduce that: the partition math and
+// the scaling model (per-CG time + a fixed launch overhead). The
+// functional runner is conv::SwConvolution::forward_multi_cg, which
+// issues one mesh launch per partition.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/sim/executor.h"
@@ -66,39 +65,6 @@ struct MultiCgStats {
 
   /// Speedup over running everything on one CG serially.
   double scaling_speedup(bool overlap = true) const;
-};
-
-class NocSystem {
- public:
-  explicit NocSystem(const arch::Sw26010Spec& spec = arch::default_spec(),
-                     double launch_overhead_seconds = 2e-6);
-
-  /// Runs `make_kernel(cg, partition)` on each core group's mesh. The
-  /// simulation executes CGs sequentially (the host is one machine) but
-  /// the stats model them as concurrent. Throws LaunchFault (persistent)
-  /// before launching anything if an attached fault campaign has
-  /// severed the NoC link to one of the requested core groups — the
-  /// caller redistributes or falls back.
-  MultiCgStats run_partitioned(
-      std::int64_t total_output_rows, int num_cgs,
-      const std::function<MeshExecutor::Kernel(int, RowPartition)>&
-          make_kernel);
-
-  /// Attaches a fault campaign; link state is consulted per
-  /// run_partitioned call and fault sites inside each CG launch are
-  /// injected through the shared executor.
-  void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
-
-  const arch::Sw26010Spec& spec() const { return spec_; }
-
- private:
-  arch::Sw26010Spec spec_;  // by value: callers may pass temporaries
-  double launch_overhead_seconds_;
-  FaultInjector* injector_ = nullptr;
-  /// Persistent executor shared by all CG launches (created on first
-  /// run_partitioned; its mesh and fiber stacks are reused across calls).
-  std::unique_ptr<MeshExecutor> exec_;
 };
 
 }  // namespace swdnn::sim

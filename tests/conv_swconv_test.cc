@@ -95,6 +95,72 @@ TEST(SwConv, MultiCgForwardMatchesReferenceAndScales) {
   EXPECT_GT(stats.scaling_speedup(), 3.0);
 }
 
+// A batch-plan problem on a 2x2 mesh whose 8 output rows split evenly
+// over 4 core groups, so every core group runs the same amount of work.
+struct MultiCgProblem {
+  ConvShape shape = ConvShape::from_output(8, 16, 16, 8, 8, 3, 3);
+  perf::ConvPlan plan;
+  tensor::Tensor in = make_input(shape), w = make_filter(shape);
+  MultiCgProblem() {
+    plan.kind = perf::PlanKind::kBatchSizeAware;
+    plan.block_co = 2;
+    util::Rng rng(45);
+    rng.fill_uniform(in.data(), -1, 1);
+    rng.fill_uniform(w.data(), -1, 1);
+  }
+};
+
+TEST(SwConv, MultiCgRunsEachPartitionAsItsOwnLaunch) {
+  const arch::Sw26010Spec spec = mesh_spec(2);
+  SwConvolution sw(spec);
+  const MultiCgProblem p;
+  tensor::Tensor out = make_output(p.shape);
+  const sim::MultiCgStats stats =
+      sw.forward_multi_cg(p.in, p.w, out, p.shape, 4, p.plan);
+  ASSERT_EQ(stats.per_cg.size(), 4u);
+
+  // Core group g owns output rows [2g, 2g+2): its stats are those of a
+  // standalone launch over those rows, and the partitions compose the
+  // whole output.
+  sim::MeshExecutor exec(spec);
+  tensor::Tensor alone = make_output(p.shape);
+  for (std::int64_t g = 0; g < 4; ++g) {
+    const sim::LaunchStats s = run_batch_size_aware(
+        exec, p.in, p.w, alone, p.shape, p.plan, 2 * g, 2 * g + 2);
+    const sim::LaunchStats& cg = stats.per_cg[static_cast<std::size_t>(g)];
+    EXPECT_EQ(cg.total_flops, s.total_flops) << "cg " << g;
+    EXPECT_EQ(cg.max_compute_cycles, s.max_compute_cycles) << "cg " << g;
+    EXPECT_EQ(cg.dma.requests, s.dma.requests) << "cg " << g;
+  }
+  EXPECT_EQ(stats.total_flops(), static_cast<std::uint64_t>(p.shape.flops()));
+  EXPECT_EQ(alone.max_abs_diff(out), 0.0);
+}
+
+TEST(SwConv, MultiCgScalesNearLinearlyForBalancedWork) {
+  // Equal partitions: the speedup approaches the number of CGs, less
+  // only the fixed launch overhead (the paper's "near linear scaling
+  // among the four CGs").
+  SwConvolution sw(mesh_spec(2));
+  const MultiCgProblem p;
+  tensor::Tensor out = make_output(p.shape);
+  const sim::MultiCgStats stats =
+      sw.forward_multi_cg(p.in, p.w, out, p.shape, 4, p.plan);
+  EXPECT_GT(stats.scaling_speedup(), 3.9);
+  EXPECT_LE(stats.scaling_speedup(), 4.0 + 1e-9);
+}
+
+TEST(SwConv, MultiCgRejectsBadCgCount) {
+  const arch::Sw26010Spec spec = mesh_spec(2);
+  SwConvolution sw(spec);
+  const MultiCgProblem p;
+  tensor::Tensor out = make_output(p.shape);
+  for (const int cgs : {0, spec.num_core_groups + 1}) {
+    EXPECT_THROW(sw.forward_multi_cg(p.in, p.w, out, p.shape, cgs, p.plan),
+                 std::invalid_argument)
+        << cgs << " core groups";
+  }
+}
+
 TEST(SwConv, PlanForRequiresExecutabilityWhenAsked) {
   const arch::Sw26010Spec spec = mesh_spec(8);
   SwConvolution sw(spec);

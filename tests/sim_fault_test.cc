@@ -7,9 +7,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "src/conv/mesh_gemm_driver.h"
+#include "src/conv/reference.h"
+#include "src/conv/swconv.h"
 #include "src/sim/executor.h"
 #include "src/sim/fault.h"
 #include "src/sim/noc.h"
@@ -256,6 +259,19 @@ TEST(RegcommFaults, StallsChargeExtraCycles) {
   EXPECT_EQ(injector.count(FaultSite::kRegcommStall), 4u);
 }
 
+/// A small filter-grained forward problem for the multi-CG NoC tests:
+/// 4 output rows, so every core group of a 2- or 4-CG run owns rows.
+struct MultiCgConv {
+  conv::ConvShape shape = conv::ConvShape::from_output(2, 3, 5, 4, 4, 3, 3);
+  tensor::Tensor in = conv::make_input(shape);
+  tensor::Tensor w = conv::make_filter(shape);
+  MultiCgConv() {
+    util::Rng rng(17);
+    rng.fill_uniform(in.data(), -1, 1);
+    rng.fill_uniform(w.data(), -1, 1);
+  }
+};
+
 TEST(NocFaults, SeveredLinkFailsThePartitionedLaunchUpFront) {
   FaultPlan plan;
   plan.dead_noc_links = {1};
@@ -263,17 +279,25 @@ TEST(NocFaults, SeveredLinkFailsThePartitionedLaunchUpFront) {
   EXPECT_FALSE(injector.poll_noc_link(0));
   EXPECT_TRUE(injector.poll_noc_link(1));
 
-  NocSystem noc(mesh_spec(2));
-  noc.set_fault_injector(&injector);
+  conv::SwConvolution sw(mesh_spec(2));
+  sw.set_fault_injector(&injector);
+  const MultiCgConv p;
+  tensor::Tensor out = conv::make_output(p.shape);
+  util::Rng(18).fill_uniform(out.data(), -1, 1);
+  const tensor::Tensor before = out;
   try {
-    noc.run_partitioned(8, 2, [](int, RowPartition) {
-      return [](CpeContext&) {};
-    });
+    sw.forward_multi_cg(p.in, p.w, out, p.shape, 2);
     FAIL() << "expected LaunchFault";
   } catch (const LaunchFault& e) {
     EXPECT_TRUE(e.persistent());
   }
   EXPECT_GT(injector.count(FaultSite::kNocLink), 0u);
+  // The link is polled before any core group launches: not one row of
+  // the output was written.
+  ASSERT_EQ(out.size(), before.size());
+  EXPECT_EQ(std::memcmp(out.data().data(), before.data().data(),
+                        static_cast<std::size_t>(out.size()) * sizeof(double)),
+            0);
 }
 
 TEST(RetryBackoff, MatchesNaiveShiftInTheSafeRange) {
@@ -421,14 +445,15 @@ TEST(NocFaults, HealthyLinksStillRun) {
   FaultPlan plan;
   plan.dead_noc_links = {3};  // only CG 3 is dead; a 2-CG run is fine
   FaultInjector injector(plan);
-  NocSystem noc(mesh_spec(2));
-  noc.set_fault_injector(&injector);
-  std::atomic<int> launches{0};
-  noc.run_partitioned(8, 2, [&](int, RowPartition) {
-    launches.fetch_add(1);
-    return [](CpeContext&) {};
-  });
-  EXPECT_EQ(launches.load(), 2);
+  conv::SwConvolution sw(mesh_spec(2));
+  sw.set_fault_injector(&injector);
+  const MultiCgConv p;
+  tensor::Tensor out = conv::make_output(p.shape);
+  const MultiCgStats stats = sw.forward_multi_cg(p.in, p.w, out, p.shape, 2);
+  EXPECT_EQ(stats.per_cg.size(), 2u);
+  tensor::Tensor expected = conv::make_output(p.shape);
+  conv::reference_forward(p.in, p.w, expected, p.shape);
+  EXPECT_EQ(expected.max_abs_diff(out), 0.0);
 }
 
 }  // namespace

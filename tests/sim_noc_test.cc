@@ -5,13 +5,6 @@
 namespace swdnn::sim {
 namespace {
 
-arch::Sw26010Spec mesh_spec(int dim) {
-  arch::Sw26010Spec spec = arch::default_spec();
-  spec.mesh_rows = dim;
-  spec.mesh_cols = dim;
-  return spec;
-}
-
 TEST(Partition, CoversAllRowsExactlyOnce) {
   for (std::int64_t rows : {1, 3, 7, 64, 65, 100}) {
     for (int parts : {1, 2, 3, 4}) {
@@ -55,47 +48,6 @@ TEST(MultiCgStats, ConcurrentModel) {
   EXPECT_EQ(stats.total_flops(), 4'000'000'000ull);
   // Serial would be 6.3 + 0.5 overhead counted once in parallel time.
   EXPECT_NEAR(stats.scaling_speedup(), 6.3 / 2.5, 1e-12);
-}
-
-TEST(NocSystem, RunsEachPartitionOnItsOwnMesh) {
-  NocSystem noc(mesh_spec(2), /*launch_overhead_seconds=*/1e-6);
-  std::vector<RowPartition> seen(4);
-  const MultiCgStats stats = noc.run_partitioned(
-      8, 4, [&](int cg, RowPartition part) -> MeshExecutor::Kernel {
-        seen[static_cast<std::size_t>(cg)] = part;
-        return [part](CpeContext& ctx) {
-          ctx.charge_flops(
-              static_cast<std::uint64_t>(part.rows()) * 8);
-        };
-      });
-  EXPECT_EQ(stats.per_cg.size(), 4u);
-  EXPECT_EQ(seen[0].begin, 0);
-  EXPECT_EQ(seen[3].end, 8);
-  // 4 CGs x 4 CPEs x (2 rows * 8 flops).
-  EXPECT_EQ(stats.total_flops(), 4u * 4u * 16u);
-}
-
-TEST(NocSystem, NearLinearScalingForBalancedWork) {
-  // Equal partitions, negligible overhead: speedup ~ number of CGs
-  // (the paper's "near linear scaling among the four CGs").
-  NocSystem noc(mesh_spec(2), 1e-9);
-  const MultiCgStats stats = noc.run_partitioned(
-      64, 4, [&](int, RowPartition part) -> MeshExecutor::Kernel {
-        return [part](CpeContext& ctx) {
-          ctx.charge_flops(static_cast<std::uint64_t>(part.rows()) * 1000);
-        };
-      });
-  EXPECT_GT(stats.scaling_speedup(), 3.9);
-  EXPECT_LE(stats.scaling_speedup(), 4.0 + 1e-9);
-}
-
-TEST(NocSystem, RejectsBadCgCount) {
-  NocSystem noc(mesh_spec(2));
-  auto make = [](int, RowPartition) -> MeshExecutor::Kernel {
-    return [](CpeContext&) {};
-  };
-  EXPECT_THROW(noc.run_partitioned(8, 0, make), std::invalid_argument);
-  EXPECT_THROW(noc.run_partitioned(8, 5, make), std::invalid_argument);
 }
 
 }  // namespace

@@ -136,6 +136,25 @@ TEST(Rng, FillNormalHasRoughlyRightMoments) {
   EXPECT_NEAR(var, 4.0, 0.3);
 }
 
+// Stddev 0 is the point mass at the mean. It must advance the engine
+// exactly as a positive stddev does, so every later draw is unmoved.
+TEST(Rng, ZeroStddevNormalReturnsTheMeanAndKeepsTheStream) {
+  Rng point(2024), unit(2024);
+  EXPECT_EQ(point.normal(3.0, 0.0), 3.0);
+  unit.normal(0.0, 1.0);
+  EXPECT_EQ(point.uniform(0.0, 1.0), unit.uniform(0.0, 1.0));
+}
+
+TEST(Rng, ZeroStddevFillNormalReturnsTheMeanAndKeepsTheStream) {
+  Rng point(2024), unit(2024);
+  // An odd count leaves the polar method's spare sample unused.
+  std::vector<double> flat(7), spread(7);
+  point.fill_normal(flat, 3.0, 0.0);
+  unit.fill_normal(spread, 0.0, 1.0);
+  for (double v : flat) EXPECT_EQ(v, 3.0);
+  EXPECT_EQ(point.uniform(0.0, 1.0), unit.uniform(0.0, 1.0));
+}
+
 TEST(Logging, LevelGateIsHonoured) {
   const LogLevel original = log_level();
   set_log_level(LogLevel::kError);
