@@ -17,10 +17,12 @@
 // Two host-side implementations of the bus traffic exist, selected by
 // BusPathMode. Both model the same machine: per-message fault polls,
 // trace events, cycle charges, and message counts are identical, and
-// tile payloads arrive bitwise equal. kBulkSpan moves each tile under
-// one transfer-buffer lock (the fast path); kVec4Reference loops over
-// the scalar 256-bit primitives exactly as the original implementation
-// did, and is kept as the oracle the equivalence tests compare against.
+// tile payloads arrive bitwise equal. kBulkSpan packs each tile once
+// into a pooled payload that all its receivers copy from, each under
+// one lock of its transfer buffer (the fast path); kVec4Reference loops
+// over the scalar 256-bit primitives exactly as the original
+// implementation did, and is kept as the oracle the equivalence tests
+// compare against.
 
 #include <span>
 
@@ -31,7 +33,7 @@ namespace swdnn::conv {
 /// Host-side strategy for moving tiles over the simulated buses.
 /// Observationally equivalent by construction; see header comment.
 enum class BusPathMode {
-  kBulkSpan,       ///< whole-tile transfers, one lock per tile (fast)
+  kBulkSpan,       ///< whole-tile transfers, one shared payload (fast)
   kVec4Reference,  ///< per-Vec4 loop over put/get (legacy oracle)
 };
 

@@ -175,11 +175,13 @@ SwConvolution::autotune_plan_measured(const ConvShape& shape) {
   // plus the best executable rival from the other mapping family
   // (cross-family is where the model's ordering is least trustworthy —
   // the families score close on very different cost structures, so one
-  // timed launch per family settles it).
+  // timed launch per family settles it). Without a rival there is
+  // nothing to decide, and the pick is reported untimed.
   perf::MeasuredAutotuneReport report;
   report.shape = shape;
-  if (tuned_entry.executable.size() >= 2) {
-    std::vector<std::size_t> contenders{tuned_entry.executable[0]};
+  std::vector<std::size_t> contenders;
+  if (!tuned_entry.executable.empty()) {
+    contenders.push_back(tuned_entry.executable[0]);
     const perf::PlanFamily top_family =
         perf::plan_kind_family(tuned_entry.ranked[contenders[0]].plan.kind);
     for (const std::size_t idx : tuned_entry.executable) {
@@ -189,7 +191,8 @@ SwConvolution::autotune_plan_measured(const ConvShape& shape) {
         break;
       }
     }
-
+  }
+  if (contenders.size() == 2) {
     tensor::Tensor input = make_input(shape);
     tensor::Tensor filter = make_filter(shape);
     tensor::Tensor output = make_output(shape);
@@ -221,22 +224,20 @@ SwConvolution::autotune_plan_measured(const ConvShape& shape) {
 
     // The model's pick keeps the crown unless the rival measured
     // STRICTLY faster (a faulted launch, seconds == 0, never wins).
-    if (report.candidates.size() == 2) {
-      const double t_pick = report.candidates[0].measured_seconds;
-      const double t_rival = report.candidates[1].measured_seconds;
-      if (t_rival > 0 && (t_pick <= 0 || t_rival < t_pick)) {
-        // Swap the winner into the top rank. Both positions are
-        // executable, so the executable index list stays valid and
-        // best_executable() now serves the measured winner — an
-        // explicit, reported reorder.
-        std::swap(tuned_entry.ranked[contenders[0]],
-                  tuned_entry.ranked[contenders[1]]);
-        report.reordered = true;
-        report.winner_index = 1;
-      }
+    const double t_pick = report.candidates[0].measured_seconds;
+    const double t_rival = report.candidates[1].measured_seconds;
+    if (t_rival > 0 && (t_pick <= 0 || t_rival < t_pick)) {
+      // Swap the winner into the top rank. Both positions are
+      // executable, so the executable index list stays valid and
+      // best_executable() now serves the measured winner — an
+      // explicit, reported reorder.
+      std::swap(tuned_entry.ranked[contenders[0]],
+                tuned_entry.ranked[contenders[1]]);
+      report.reordered = true;
+      report.winner_index = 1;
     }
-  } else if (!tuned_entry.executable.empty()) {
-    const auto& only = tuned_entry.ranked[tuned_entry.executable[0]];
+  } else if (!contenders.empty()) {
+    const auto& only = tuned_entry.ranked[contenders[0]];
     perf::MeasuredCandidate c;
     c.plan = only.plan;
     c.modeled_gflops_per_cg = only.estimate.gflops_per_cg;

@@ -113,8 +113,10 @@ class SwConvolution {
   /// Measured autotune (DESIGN.md §16): schedule-tunes the ranking like
   /// autotune_plan, then *confirms* the top modeled candidates with
   /// timed simulator launches — the model's top mesh-executable pick
-  /// and the best executable entry of the other mapping family, when
-  /// one maps — on deterministic synthetic data. If the rival measures
+  /// and the best executable entry of the other mapping family — on
+  /// deterministic synthetic data. When no other family maps the shape,
+  /// nothing is launched and the pick is reported untimed
+  /// (measured_seconds 0). If the rival measures
   /// strictly faster (LaunchStats::modeled_seconds under the plan's buffering
   /// mode), the two entries swap places before the ranking is installed
   /// — an explicit, reported reorder, never a silent one. Counter-

@@ -52,7 +52,7 @@ struct AutotuneReport {
 struct MeasuredCandidate {
   ConvPlan plan;
   double modeled_gflops_per_cg = 0;  ///< closed-form score after tuning
-  double measured_seconds = 0;       ///< timed simulator launch
+  double measured_seconds = 0;       ///< timed launch; 0 if no rival
   double measured_gflops = 0;        ///< LaunchStats::modeled_gflops
 };
 

@@ -152,7 +152,6 @@ std::int64_t ldm_bytes_required(const conv::ConvShape& shape,
   const std::int64_t ds = 8;
   const std::int64_t rows = spec.mesh_rows;
   const std::int64_t cols = spec.mesh_cols;
-  const std::int64_t cpes = rows * cols;
 
   if (plan.kind == PlanKind::kDirect) {
     // gload keeps nothing resident beyond registers.
@@ -174,20 +173,16 @@ std::int64_t ldm_bytes_required(const conv::ConvShape& shape,
     return ds * (2 * k_t * (m_t + n_t) + m_t * n_t + n_t);
   }
 
-  auto ceil_div_l = [](std::int64_t a, std::int64_t b) {
-    return (a + b - 1) / b;
-  };
-
   // Per-CPE channel shares: bNi/8 input channels per mesh column, No/8
   // output channels per column of the filter distribution.
   const std::int64_t bni =
       plan.block_ni > 0 ? std::min(plan.block_ni, shape.ni) : shape.ni;
-  const std::int64_t ni_share = ceil_div_l(bni, rows);
-  const std::int64_t no_share = ceil_div_l(shape.no, cols);
+  const std::int64_t ni_share = ceil_div(bni, rows);
+  const std::int64_t no_share = ceil_div(shape.no, cols);
 
   std::int64_t in_tile = 0, w_tile = 0, out_tile = 0;
   if (plan.kind == PlanKind::kImageSizeAware) {
-    const std::int64_t b_share = ceil_div_l(plan.block_b, rows);
+    const std::int64_t b_share = ceil_div(plan.block_b, rows);
     // The input tile always carries the Kc-1 column halo: the sliding
     // window of line 6 of Algorithm 1 touches bCo+Kc-1 columns.
     const std::int64_t co_tile = plan.block_co + shape.kc - 1;
@@ -195,7 +190,7 @@ std::int64_t ldm_bytes_required(const conv::ConvShape& shape,
     w_tile = ni_share * no_share;  // one (kc, kr) slice
     out_tile = plan.block_co * no_share * b_share;
   } else {  // batch-size-aware
-    const std::int64_t b_share = ceil_div_l(shape.batch, rows);
+    const std::int64_t b_share = ceil_div(shape.batch, rows);
     // One input pixel column of all channels/batches at a time.
     in_tile = ni_share * b_share;
     const std::int64_t w_slices = plan.promote_filter_dma ? shape.kc : 1;
@@ -207,7 +202,6 @@ std::int64_t ldm_bytes_required(const conv::ConvShape& shape,
   // filter); the output tile is an accumulator, written back once per
   // step, so it has no second buffer.
   const std::int64_t buffers = plan.double_buffer ? 2 : 1;
-  (void)cpes;
   return ds * (buffers * (in_tile + w_tile) + out_tile);
 }
 

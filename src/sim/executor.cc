@@ -229,35 +229,40 @@ Vec4 CpeContext::get_col() {
 // order the Vec4 loop does — one stall poll, one trace event, one
 // message count, one issue cycle per 256-bit message — so fault
 // placement, traces, and LaunchStats are bitwise what the reference
-// path produces. Only the transfer-buffer traffic is batched.
+// path produces. Only the transfer-buffer traffic is batched: the tile
+// is packed once and every receiver queues the same payload.
 
 void CpeContext::bcast_row_span(std::span<const double> data) {
   const std::size_t messages = (data.size() + 3) / 4;
-  const auto fanout = static_cast<std::uint64_t>(mesh_.cols() - 1);
+  const int fanout = mesh_.cols() - 1;
   for (std::size_t m = 0; m < messages; ++m) {
     maybe_stall_bus();
     trace_event(exec_, cell(), id(), "bus", "bcast-row", 1);
-    cell().regcomm_messages += fanout;
+    cell().regcomm_messages += static_cast<std::uint64_t>(fanout);
     charge_cycles(1);
   }
+  if (messages == 0 || fanout == 0) return;
+  Payload& payload = mesh_.payload_pool().pack(data, fanout);
   for (int c = 0; c < mesh_.cols(); ++c) {
     if (c == col_) continue;
-    mesh_.cell(row_, c).row_buffer.put_packed(data);
+    mesh_.cell(row_, c).row_buffer.put_payload(payload);
   }
 }
 
 void CpeContext::bcast_col_span(std::span<const double> data) {
   const std::size_t messages = (data.size() + 3) / 4;
-  const auto fanout = static_cast<std::uint64_t>(mesh_.rows() - 1);
+  const int fanout = mesh_.rows() - 1;
   for (std::size_t m = 0; m < messages; ++m) {
     maybe_stall_bus();
     trace_event(exec_, cell(), id(), "bus", "bcast-col", 1);
-    cell().regcomm_messages += fanout;
+    cell().regcomm_messages += static_cast<std::uint64_t>(fanout);
     charge_cycles(1);
   }
+  if (messages == 0 || fanout == 0) return;
+  Payload& payload = mesh_.payload_pool().pack(data, fanout);
   for (int r = 0; r < mesh_.rows(); ++r) {
     if (r == row_) continue;
-    mesh_.cell(r, col_).col_buffer.put_packed(data);
+    mesh_.cell(r, col_).col_buffer.put_payload(payload);
   }
 }
 

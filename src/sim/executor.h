@@ -106,8 +106,10 @@ class CpeContext {
   /// doubles as ceil(n/4) 256-bit messages. Per-message accounting
   /// (stall-fault polls, trace events, one issue cycle per broadcast,
   /// get latency per receive, regcomm message counts) is charged
-  /// identically to a loop over the Vec4 primitives; only the host-side
-  /// transfer-buffer traffic is batched under one lock acquisition.
+  /// identically to a loop over the Vec4 primitives. Only the host-side
+  /// bus traffic differs: a broadcast packs the tile once into a pooled
+  /// payload that every receiver's buffer references, and a receive
+  /// copies whole messages out, each under one buffer lock.
   void bcast_row_span(std::span<const double> data);
   void bcast_col_span(std::span<const double> data);
   void recv_row_span(std::span<double> out);
@@ -214,6 +216,9 @@ class MeshExecutor {
   LaunchStats run(const Kernel& kernel);
 
   const arch::Sw26010Spec& spec() const { return spec_; }
+
+  /// The persistent mesh state (read-only, between launches).
+  const CpeMesh& mesh() const { return mesh_; }
 
   /// Selects the host execution strategy: CPE fibers on the launching
   /// thread (default), or one spawned thread per CPE per launch, kept

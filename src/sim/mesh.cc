@@ -16,7 +16,7 @@ CpeMesh::CpeMesh(const arch::Sw26010Spec& spec)
     : spec_(spec), rows_(spec.mesh_rows), cols_(spec.mesh_cols) {
   cells_.reserve(static_cast<std::size_t>(rows_) * cols_);
   for (int i = 0; i < rows_ * cols_; ++i) {
-    cells_.push_back(std::make_unique<CpeCell>(spec));
+    cells_.push_back(std::make_unique<CpeCell>(spec, payload_pool_));
   }
 }
 

@@ -2,13 +2,14 @@
 // The 8x8 CPE mesh state for one simulated core group.
 //
 // Each cell owns its LDM arena, its two receive-side transfer buffers
-// (row bus and column bus), and its timing counters. The mesh is owned
-// by a MeshExecutor and reused across launches: reset_for_launch()
-// zeroes the counters, empties the buffers, and rewinds the LDM arenas
-// in place, so a launch never re-allocates the 64 x 64 KB of arena
-// memory. Geometry comes from the machine spec so tests can run reduced
-// meshes (e.g. 2x2 or 4x4, as the paper itself does when illustrating
-// Fig. 3).
+// (row bus and column bus), and its timing counters; the buffers store
+// their messages in the mesh's one payload pool. The mesh is owned by a
+// MeshExecutor and reused across launches: reset_for_launch() zeroes
+// the counters, empties the buffers, and rewinds the LDM arenas in
+// place, so a launch never re-allocates the 64 x 64 KB of arena memory
+// or, once the pool is warm, any bus payload. Geometry comes from the
+// machine spec so tests can run reduced meshes (e.g. 2x2 or 4x4, as the
+// paper itself does when illustrating Fig. 3).
 //
 // The timing counters are plain integers, not atomics: each cell is
 // written only by the CPE that owns it during a launch, and the
@@ -28,10 +29,10 @@
 namespace swdnn::sim {
 
 struct CpeCell {
-  explicit CpeCell(const arch::Sw26010Spec& spec)
+  CpeCell(const arch::Sw26010Spec& spec, PayloadPool& pool)
       : ldm(spec.ldm_bytes),
-        row_buffer(spec.transfer_buffer_slots, "row bus"),
-        col_buffer(spec.transfer_buffer_slots, "column bus") {}
+        row_buffer(pool, spec.transfer_buffer_slots, "row bus"),
+        col_buffer(pool, spec.transfer_buffer_slots, "column bus") {}
 
   LdmAllocator ldm;
   TransferBuffer row_buffer;  ///< messages arriving over the row bus
@@ -61,6 +62,10 @@ class CpeMesh {
   }
   CpeCell& cell_by_id(int id) { return *cells_[id]; }
 
+  /// The store behind every cell's transfer buffers.
+  PayloadPool& payload_pool() { return payload_pool_; }
+  const PayloadPool& payload_pool() const { return payload_pool_; }
+
   const arch::Sw26010Spec& spec() const { return spec_; }
 
   /// Resets every cell in place for the next launch.
@@ -82,6 +87,7 @@ class CpeMesh {
   arch::Sw26010Spec spec_;  // by value: callers may pass temporaries
   int rows_;
   int cols_;
+  PayloadPool payload_pool_;  // outlives the cells' buffers
   std::vector<std::unique_ptr<CpeCell>> cells_;
 };
 

@@ -1,22 +1,110 @@
 #include "src/sim/regcomm.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "src/sim/fiber.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SWDNN_REGCOMM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SWDNN_REGCOMM_ASAN 1
+#endif
+#endif
+
+#ifdef SWDNN_REGCOMM_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace swdnn::sim {
 
+namespace {
+// Under ASan only the lanes of a packed payload are addressable: a
+// receiver that reads a block after its release, or past its last
+// message, faults instead of reading a recycled tile.
+void expose_lanes([[maybe_unused]] const Payload& p) {
+#ifdef SWDNN_REGCOMM_ASAN
+  const std::size_t used = 4 * p.messages;
+  ASAN_UNPOISON_MEMORY_REGION(p.lanes.get(), used * sizeof(double));
+  ASAN_POISON_MEMORY_REGION(p.lanes.get() + used,
+                            ((std::size_t{4} << p.size_class) - used) *
+                                sizeof(double));
+#endif
+}
+
+void hide_lanes([[maybe_unused]] const Payload& p) {
+#ifdef SWDNN_REGCOMM_ASAN
+  ASAN_POISON_MEMORY_REGION(p.lanes.get(),
+                            (std::size_t{4} << p.size_class) * sizeof(double));
+#endif
+}
+}  // namespace
+
+Payload& PayloadPool::pack(std::span<const double> data, int readers) {
+  const std::size_t messages = (data.size() + 3) / 4;
+  const auto size_class = static_cast<unsigned>(std::bit_width(messages - 1));
+  Payload* p = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (free_.size() <= size_class) free_.resize(size_class + 1);
+    std::vector<Payload*>& free = free_[size_class];
+    if (free.empty()) {
+      auto block = std::make_unique<Payload>();
+      block->lanes = std::make_unique_for_overwrite<double[]>(
+          std::size_t{4} << size_class);
+      block->size_class = size_class;
+      p = blocks_.emplace_back(std::move(block)).get();
+    } else {
+      p = free.back();
+      free.pop_back();
+    }
+    ++outstanding_;
+  }
+  p->messages = messages;
+  p->readers.store(readers, std::memory_order_relaxed);
+  expose_lanes(*p);
+  double* lanes = p->lanes.get();
+  std::memcpy(lanes, data.data(), data.size_bytes());
+  std::fill(lanes + data.size(), lanes + 4 * messages, 0.0);
+  return *p;
+}
+
+void PayloadPool::release(Payload& payload) {
+  if (payload.readers.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  hide_lanes(payload);
+  std::lock_guard<std::mutex> lock(mutex_);
+  free_[payload.size_class].push_back(&payload);
+  --outstanding_;
+}
+
+std::size_t PayloadPool::blocks() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return blocks_.size();
+}
+
+std::size_t PayloadPool::outstanding() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return outstanding_;
+}
+
+// Fiber-wait predicates. The scheduler polls them between fibers, on
+// the thread that runs every CPE of the launch, so nothing can change
+// the count during the read and it needs no lock.
 bool TransferBuffer::has_message(const void* buffer, std::uint64_t) {
-  return static_cast<const TransferBuffer*>(buffer)->size() > 0;
+  return static_cast<const TransferBuffer*>(buffer)->messages_ > 0;
 }
 
 bool TransferBuffer::has_room(const void* buffer, std::uint64_t) {
   const auto* self = static_cast<const TransferBuffer*>(buffer);
-  return self->size() < self->capacity_;
+  return self->messages_ < self->capacity_;
 }
 
 void TransferBuffer::await(std::unique_lock<std::mutex>& lock,
                            bool for_room) {
   const auto ready = [this, for_room] {
-    return for_room ? queue_.size() < capacity_ : !queue_.empty();
+    return for_room ? messages_ < capacity_ : messages_ > 0;
   };
   FiberScheduler* fibers = FiberScheduler::current();
   if (fibers == nullptr) {
@@ -33,10 +121,33 @@ void TransferBuffer::await(std::unique_lock<std::mutex>& lock,
   }
 }
 
+void TransferBuffer::push(Payload& payload) {
+  if (segments_ == ring_.size()) {
+    std::vector<Segment> grown(std::max<std::size_t>(4, 2 * ring_.size()));
+    for (std::size_t i = 0; i < segments_; ++i) {
+      grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + segments_) & (ring_.size() - 1)] = Segment{&payload, 0};
+  ++segments_;
+  messages_ += payload.messages;
+}
+
+void TransferBuffer::pop_front() {
+  const Segment& s = ring_[head_];
+  messages_ -= s.payload->messages - s.next;
+  pool_.release(*s.payload);
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --segments_;
+}
+
 void TransferBuffer::put(const Vec4& value) {
+  Payload& payload = pool_.pack(value.lane, 1);
   std::unique_lock<std::mutex> lock(mutex_);
   await(lock, /*for_room=*/true);
-  queue_.push_back(value);
+  push(payload);
   lock.unlock();
   not_empty_.notify_one();
 }
@@ -44,25 +155,22 @@ void TransferBuffer::put(const Vec4& value) {
 Vec4 TransferBuffer::get() {
   std::unique_lock<std::mutex> lock(mutex_);
   await(lock, /*for_room=*/false);
-  Vec4 value = queue_.front();
-  queue_.pop_front();
+  Segment& s = ring_[head_];
+  Vec4 value;
+  std::memcpy(value.lane, s.payload->lanes.get() + 4 * s.next,
+              sizeof(value.lane));
+  ++s.next;
+  --messages_;
+  if (s.next == s.payload->messages) pop_front();
   lock.unlock();
   not_full_.notify_one();
   return value;
 }
 
-void TransferBuffer::put_packed(std::span<const double> data) {
-  if (data.empty()) return;
+void TransferBuffer::put_payload(Payload& payload) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t off = 0; off < data.size(); off += 4) {
-      Vec4 v;
-      for (int l = 0; l < 4; ++l) {
-        const std::size_t idx = off + static_cast<std::size_t>(l);
-        v.lane[l] = idx < data.size() ? data[idx] : 0.0;
-      }
-      queue_.push_back(v);
-    }
+    push(payload);
   }
   not_empty_.notify_one();
 }
@@ -72,14 +180,17 @@ void TransferBuffer::get_unpacked(std::span<double> out) {
   std::unique_lock<std::mutex> lock(mutex_);
   while (off < out.size()) {
     await(lock, /*for_room=*/false);
-    while (!queue_.empty() && off < out.size()) {
-      const Vec4 v = queue_.front();
-      queue_.pop_front();
-      for (int l = 0; l < 4; ++l) {
-        const std::size_t idx = off + static_cast<std::size_t>(l);
-        if (idx < out.size()) out[idx] = v.lane[l];
-      }
-      off += 4;
+    while (segments_ > 0 && off < out.size()) {
+      Segment& s = ring_[head_];
+      const std::size_t take = std::min(s.payload->messages - s.next,
+                                        (out.size() - off + 3) / 4);
+      const std::size_t n = std::min(4 * take, out.size() - off);
+      std::memcpy(out.data() + off, s.payload->lanes.get() + 4 * s.next,
+                  n * sizeof(double));
+      off += n;
+      s.next += take;
+      messages_ -= take;
+      if (s.next == s.payload->messages) pop_front();
     }
     // Wake reference-path senders parked on the slot capacity before we
     // wait for the rest of the span, or a mixed put/get_unpacked pair
@@ -90,12 +201,12 @@ void TransferBuffer::get_unpacked(std::span<double> out) {
 
 void TransferBuffer::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  queue_.clear();
+  while (segments_ > 0) pop_front();
 }
 
 std::size_t TransferBuffer::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
+  return messages_;
 }
 
 }  // namespace swdnn::sim

@@ -9,32 +9,43 @@
 // hardware also offers row/column broadcast, which the vldr/vldc-based
 // kernels use (Section V-C).
 //
-// The simulator implements a TransferBuffer as a bounded MPSC queue. A
-// CPE owns two receive buffers: one fed by its row bus, one by its
+// A CPE owns two receive buffers: one fed by its row bus, one by its
 // column bus. Message order on one bus is FIFO per sender and, because a
 // bus serializes, FIFO globally per buffer.
 //
-// Two access disciplines share the queue:
-//   * the Vec4 reference path (put/get) — one lock acquisition per
-//     256-bit message, back-pressured at the hardware buffer depth; and
-//   * the bulk span path (put_packed/get_unpacked) — a whole tile's
-//     worth of messages moves under a single lock acquisition. Bulk
+// The store: messages live in Payload blocks of whole messages, taken
+// from a PayloadPool that the mesh owns. A TransferBuffer is a FIFO of
+// segments, each a reference to a block plus the index of its next
+// unread message. A broadcast tile is packed once, zero-padded to whole
+// messages, into one block that every receiver's buffer references;
+// each receiver copies whole messages out, and the last one to drain the
+// block returns it to the pool. After a launch has warmed the pool, bus
+// traffic allocates nothing.
+//
+// Two access disciplines share the store:
+//   * the Vec4 reference path (put/get) — one one-message block per Put,
+//     one lock acquisition per 256-bit message, back-pressured at the
+//     hardware buffer depth; and
+//   * the bulk path (put_payload/get_unpacked) — a whole tile's worth of
+//     messages is queued, or read, under a single lock acquisition. Bulk
 //     puts deliberately ignore the slot capacity: blocking on a full
 //     buffer is host-scheduling behaviour only (no cycles are ever
 //     charged for it), so batching past the depth changes no modeled
 //     observable while eliminating the dominant host cost of the bus.
 //     Cycle and message accounting stay per-Vec4 in the caller.
 //
-// Where a Get finds the queue empty (or a Vec4 Put finds it full), a CPE
-// running as a fiber parks in its FiberScheduler until the queue
+// Where a Get finds the buffer empty (or a Vec4 Put finds it full), a CPE
+// running as a fiber parks in its FiberScheduler until the buffer
 // changes; a plain thread waits on a condition variable.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <span>
+#include <vector>
 
 namespace swdnn::sim {
 
@@ -60,12 +71,53 @@ struct Vec4 {
   }
 };
 
+/// A run of `messages` 256-bit messages, 4 lanes each, shared by the
+/// receivers of one Put or broadcast.
+struct Payload {
+  std::unique_ptr<double[]> lanes;  ///< 4 << size_class doubles
+  std::size_t messages = 0;
+  std::atomic<int> readers{0};  ///< receivers that have not released it
+  unsigned size_class = 0;      ///< holds up to 1 << size_class messages
+};
+
+/// The message store of one mesh's transfer buffers. Blocks come in
+/// power-of-two message capacities and are recycled, never freed before
+/// the pool. Thread-safe: on the spawned-thread reference path all CPE
+/// threads pack and release concurrently.
+class PayloadPool {
+ public:
+  PayloadPool() = default;
+  PayloadPool(const PayloadPool&) = delete;
+  PayloadPool& operator=(const PayloadPool&) = delete;
+
+  /// Packs `data` (not empty) into ceil(n/4) messages, trailing lanes
+  /// zero, in a block that each of `readers` (>= 1) receivers releases
+  /// once.
+  Payload& pack(std::span<const double> data, int readers);
+
+  /// Drops one receiver's reference; the last returns the block.
+  void release(Payload& payload);
+
+  /// Blocks allocated so far.
+  std::size_t blocks() const;
+
+  /// Blocks packed and not yet released by all their receivers.
+  std::size_t outstanding() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::unique_ptr<Payload>> blocks_;
+  std::vector<std::vector<Payload*>> free_;  ///< indexed by size class
+  std::size_t outstanding_ = 0;
+};
+
 class TransferBuffer {
  public:
+  /// Messages are stored in `pool`, which must outlive the buffer.
   /// `bus` names the buffer in deadlock reports, e.g. "row bus".
-  explicit TransferBuffer(std::size_t capacity,
-                          const char* bus = "transfer buffer")
-      : capacity_(capacity), bus_(bus) {}
+  TransferBuffer(PayloadPool& pool, std::size_t capacity,
+                 const char* bus = "transfer buffer")
+      : pool_(pool), capacity_(capacity), bus_(bus) {}
 
   /// Blocking bounded push (sender side of a bus Put).
   void put(const Vec4& value);
@@ -73,18 +125,20 @@ class TransferBuffer {
   /// Blocking pop (receiver's Get into its register file).
   Vec4 get();
 
-  /// Bulk sender: packs `data` into ceil(n/4) Vec4 messages (trailing
-  /// lanes zero, matching the reference path's packing) and enqueues
-  /// them all under one lock acquisition. Never blocks on capacity —
-  /// see the header comment for why that is observationally safe.
-  void put_packed(std::span<const double> data);
+  /// Bulk sender: queues every message of `payload`, a block of this
+  /// buffer's pool that counts this buffer among its readers, under one
+  /// lock acquisition. Never blocks on capacity — see the header
+  /// comment for why that is observationally safe.
+  void put_payload(Payload& payload);
 
   /// Bulk receiver: pops ceil(n/4) messages under one lock acquisition
-  /// (waiting while the queue is empty) and unpacks them into `out`,
-  /// discarding the zero-padding lanes of the final message.
+  /// (waiting while the buffer is empty), possibly from several
+  /// payloads, and copies them into `out`, discarding the lanes of the
+  /// final message that do not fit.
   void get_unpacked(std::span<double> out);
 
-  /// Drops any buffered messages (launch-boundary reset).
+  /// Drops any buffered messages and releases their payloads
+  /// (launch-boundary reset).
   void clear();
 
   /// Number of messages currently buffered (for tests).
@@ -93,18 +147,31 @@ class TransferBuffer {
   std::size_t capacity() const { return capacity_; }
 
  private:
+  /// A queued payload and the index of its first unread message.
+  struct Segment {
+    Payload* payload = nullptr;
+    std::size_t next = 0;
+  };
+
   /// Returns once a message is queued, or with `for_room` once a slot
   /// is free; `lock` holds mutex_ on entry and on return.
   void await(std::unique_lock<std::mutex>& lock, bool for_room);
+  /// Appends / drops a segment; mutex_ held.
+  void push(Payload& payload);
+  void pop_front();
   static bool has_message(const void* buffer, std::uint64_t);
   static bool has_room(const void* buffer, std::uint64_t);
 
+  PayloadPool& pool_;
   const std::size_t capacity_;
   const char* const bus_;
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::deque<Vec4> queue_;
+  std::vector<Segment> ring_;  ///< power-of-two size, grows when full
+  std::size_t head_ = 0;       ///< ring index of the oldest segment
+  std::size_t segments_ = 0;
+  std::size_t messages_ = 0;  ///< unread messages across the segments
 };
 
 }  // namespace swdnn::sim

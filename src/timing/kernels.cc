@@ -1,6 +1,9 @@
 #include "src/timing/kernels.h"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace swdnn::timing {
 
@@ -104,10 +107,24 @@ int inner_iterations_for_channels(std::int64_t ni) {
 }
 
 double simulated_ee(std::int64_t ni, bool reordered) {
-  const int n = inner_iterations_for_channels(ni);
+  // Replaying the ~24n-instruction stream dominates a model estimate,
+  // and plan ranking asks for the same few trip counts over and over.
+  // The result depends on (n, reordered) alone, so it is computed once.
+  static std::mutex mutex;
+  static std::map<std::pair<int, bool>, double> memo;
+  const std::pair<int, bool> key{inner_iterations_for_channels(ni),
+                                 reordered};
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (const auto it = memo.find(key); it != memo.end()) return it->second;
+  }
   DualPipelineSimulator sim;
-  const auto stream = reordered ? reordered_stream(n) : original_stream(n);
-  return sim.simulate(stream).execution_efficiency();
+  const auto stream =
+      reordered ? reordered_stream(key.first) : original_stream(key.first);
+  const double ee = sim.simulate(stream).execution_efficiency();
+  std::lock_guard<std::mutex> lock(mutex);
+  memo.emplace(key, ee);
+  return ee;
 }
 
 }  // namespace swdnn::timing

@@ -44,7 +44,9 @@ double ee_reordered_closed_form(std::int64_t ni);
 int inner_iterations_for_channels(std::int64_t ni);
 
 /// Simulated EE for a schedule at a given channel count — what the
-/// performance model uses. `reordered` selects the schedule.
+/// performance model uses. `reordered` selects the schedule. Each
+/// (inner-iteration count, schedule) pair is simulated once per process
+/// and remembered; safe to call from several threads.
 double simulated_ee(std::int64_t ni, bool reordered);
 
 }  // namespace swdnn::timing

@@ -196,7 +196,8 @@ TEST(Multigrain, MeasuredAutotuneRunsAFullFamilyTournament) {
 TEST(Multigrain, MeasuredTournamentShrinksWhenAFamilyCannotMap) {
   // Ni=3 rules out the channel-blocked incumbent plans, so the field
   // is the filter-grained family only — the tournament degrades to the
-  // model's pick alone instead of inventing a rival.
+  // model's pick alone instead of inventing a rival, and a lone pick
+  // has nothing to be timed against: no launch, measured_seconds 0.
   const ConvShape shape = ConvShape::from_output(3, 3, 5, 6, 6, 3, 3);
   SwConvolution sw;
   const auto lookup = sw.ranked_plans(shape);
@@ -206,6 +207,8 @@ TEST(Multigrain, MeasuredTournamentShrinksWhenAFamilyCannotMap) {
   ASSERT_EQ(report->candidates.size(), 1u);
   for (const auto& c : report->candidates) {
     EXPECT_TRUE(perf::plan_kind_is_multigrain(c.plan.kind));
+    EXPECT_EQ(c.measured_seconds, 0.0);
+    EXPECT_EQ(c.measured_gflops, 0.0);
   }
   // Whatever won, the cache serves it.
   const auto& winner = report->candidates[report->winner_index];

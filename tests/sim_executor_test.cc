@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -212,6 +213,84 @@ TEST(Executor, Vec4PutsPastTheBufferDepthWaitForTheReceiver) {
   for (int i = 0; i < messages; ++i) {
     EXPECT_EQ(received[static_cast<std::size_t>(i)], static_cast<double>(i));
   }
+}
+
+TEST(Executor, SpanAndVec4DisciplinesShareOneStore) {
+  // Row 0: a broadcast tile read back one message at a time. Row 1: two
+  // Vec4 Puts read as one tile, the padding lanes of its last message
+  // dropped.
+  const arch::Sw26010Spec spec = mesh_spec(2);
+  MeshExecutor exec(spec);
+  std::vector<double> by_vec4(8, -1);
+  std::vector<double> by_span(6, -1);
+  const LaunchStats stats = exec.run([&](CpeContext& ctx) {
+    if (ctx.id() == 0) {
+      const std::vector<double> tile{1, 2, 3, 4, 5, 6};
+      ctx.bcast_row_span(tile);
+    } else if (ctx.id() == 1) {
+      for (std::size_t m = 0; m < 2; ++m) {
+        const Vec4 v = ctx.get_row();
+        std::copy(v.lane, v.lane + 4, by_vec4.begin() + 4 * m);
+      }
+    } else if (ctx.id() == 2) {
+      ctx.put_row(1, Vec4{{7, 8, 9, 10}});
+      ctx.put_row(1, Vec4{{11, 12, 13, 14}});
+    } else {
+      ctx.recv_row_span(by_span);
+    }
+  });
+  EXPECT_EQ(by_vec4, (std::vector<double>{1, 2, 3, 4, 5, 6, 0, 0}));
+  EXPECT_EQ(by_span, (std::vector<double>{7, 8, 9, 10, 11, 12}));
+  EXPECT_EQ(stats.regcomm_messages, 4u);
+  EXPECT_EQ(exec.mesh().payload_pool().outstanding(), 0u);
+}
+
+TEST(Executor, RepeatedLaunchTakesEveryPayloadFromThePool) {
+  // The mesh GEMM's exchange: at step t column t broadcasts a tile
+  // along its row and row t one down its column, in two tile sizes.
+  const arch::Sw26010Spec spec = mesh_spec(4);
+  MeshExecutor exec(spec);
+  const auto kernel = [](CpeContext& ctx) {
+    const std::vector<double> w(64, ctx.id());
+    const std::vector<double> di(30, -ctx.id());
+    std::vector<double> w_in(w.size());
+    std::vector<double> di_in(di.size());
+    for (int t = 0; t < ctx.mesh_rows(); ++t) {
+      if (ctx.col() == t) {
+        ctx.bcast_row_span(w);
+      } else {
+        ctx.recv_row_span(w_in);
+        EXPECT_EQ(w_in.back(), ctx.row() * ctx.mesh_cols() + t);
+      }
+      if (ctx.row() == t) {
+        ctx.bcast_col_span(di);
+      } else {
+        ctx.recv_col_span(di_in);
+        EXPECT_EQ(di_in.back(), -(t * ctx.mesh_cols() + ctx.col()));
+      }
+      ctx.sync();
+    }
+  };
+  const PayloadPool& pool = exec.mesh().payload_pool();
+  exec.run(kernel);
+  const std::size_t blocks = pool.blocks();
+  EXPECT_GT(blocks, 0u);
+  EXPECT_EQ(pool.outstanding(), 0u);
+  exec.run(kernel);
+  EXPECT_EQ(pool.blocks(), blocks);
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(Executor, PayloadsLeftQueuedReturnAtTheNextLaunch) {
+  const arch::Sw26010Spec spec = mesh_spec(2);
+  MeshExecutor exec(spec);
+  exec.run([](CpeContext& ctx) {
+    const std::vector<double> tile(8, 1.0);
+    if (ctx.id() == 0) ctx.bcast_row_span(tile);  // nobody receives it
+  });
+  EXPECT_EQ(exec.mesh().payload_pool().outstanding(), 1u);
+  exec.run([](CpeContext&) {});
+  EXPECT_EQ(exec.mesh().payload_pool().outstanding(), 0u);
 }
 
 TEST(ExecutorDeathTest, NonStdExceptionAbortsWithTheCpeDiagnostic) {

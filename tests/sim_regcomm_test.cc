@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "src/sim/regcomm.h"
 
@@ -29,7 +30,8 @@ TEST(Vec4, AddAndMul) {
 }
 
 TEST(TransferBuffer, FifoOrder) {
-  TransferBuffer buf(4);
+  PayloadPool pool;
+  TransferBuffer buf(pool, 4);
   buf.put(Vec4::splat(1.0));
   buf.put(Vec4::splat(2.0));
   EXPECT_EQ(buf.size(), 2u);
@@ -39,7 +41,8 @@ TEST(TransferBuffer, FifoOrder) {
 }
 
 TEST(TransferBuffer, PutBlocksWhenFullUntilGet) {
-  TransferBuffer buf(2);
+  PayloadPool pool;
+  TransferBuffer buf(pool, 2);
   buf.put(Vec4::splat(1.0));
   buf.put(Vec4::splat(2.0));
   std::atomic<bool> third_done{false};
@@ -58,7 +61,8 @@ TEST(TransferBuffer, PutBlocksWhenFullUntilGet) {
 }
 
 TEST(TransferBuffer, GetBlocksUntilPut) {
-  TransferBuffer buf(4);
+  PayloadPool pool;
+  TransferBuffer buf(pool, 4);
   std::atomic<bool> got{false};
   std::thread consumer([&] {
     const Vec4 v = buf.get();
@@ -75,7 +79,8 @@ TEST(TransferBuffer, GetBlocksUntilPut) {
 TEST(TransferBuffer, ManyMessagesThroughSmallBuffer) {
   // Producer-consumer across a capacity-4 buffer, 1000 messages: the
   // paper's multi-Put/multi-Get discipline.
-  TransferBuffer buf(4);
+  PayloadPool pool;
+  TransferBuffer buf(pool, 4);
   constexpr int kN = 1000;
   std::thread producer([&] {
     for (int i = 0; i < kN; ++i) buf.put(Vec4::splat(static_cast<double>(i)));
@@ -84,6 +89,97 @@ TEST(TransferBuffer, ManyMessagesThroughSmallBuffer) {
     EXPECT_EQ(buf.get().lane[0], static_cast<double>(i));
   }
   producer.join();
+}
+
+TEST(TransferBuffer, SpanGetStraddlesTwoPayloadsAndReadsWholeMessages) {
+  // Two tiles of 6 and 5 doubles travel as 2 + 2 messages. A 10-double
+  // Get takes three whole messages: all of the first tile with its two
+  // zero lanes, then the first message of the second, whose last two
+  // lanes are dropped, not kept for the next Get.
+  PayloadPool pool;
+  TransferBuffer buf(pool, 4);
+  const std::vector<double> a{1, 2, 3, 4, 5, 6};
+  const std::vector<double> b{7, 8, 9, 10, 11};
+  buf.put_payload(pool.pack(a, 1));
+  buf.put_payload(pool.pack(b, 1));
+  EXPECT_EQ(buf.size(), 4u);
+  std::vector<double> out(10, -1);
+  buf.get_unpacked(out);
+  EXPECT_EQ(out, (std::vector<double>{1, 2, 3, 4, 5, 6, 0, 0, 7, 8}));
+  EXPECT_EQ(buf.size(), 1u);
+  EXPECT_EQ(pool.outstanding(), 1u);  // the first tile went back
+  const Vec4 last = buf.get();
+  EXPECT_EQ(last.lane[0], 11.0);
+  EXPECT_EQ(last.lane[1], 0.0);
+  EXPECT_EQ(last.lane[3], 0.0);
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(TransferBuffer, Vec4PutsDrainedByOneSpanGet) {
+  PayloadPool pool;
+  TransferBuffer buf(pool, 4);
+  buf.put(Vec4{{1, 2, 3, 4}});
+  buf.put(Vec4{{5, 6, 7, 8}});
+  buf.put(Vec4{{9, 10, 11, 12}});
+  std::vector<double> out(9, -1);
+  buf.get_unpacked(out);
+  EXPECT_EQ(out, (std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(TransferBuffer, SharedPayloadDrainedByVec4GetsOnEveryReceiver) {
+  // One broadcast, two receivers: the block stays out until the second
+  // receiver has read its last message.
+  PayloadPool pool;
+  TransferBuffer left(pool, 4);
+  TransferBuffer right(pool, 4);
+  const std::vector<double> tile{1, 2, 3, 4, 5, 6, 7};
+  Payload& payload = pool.pack(tile, 2);
+  left.put_payload(payload);
+  right.put_payload(payload);
+  for (TransferBuffer* buf : {&left, &right}) {
+    EXPECT_EQ(pool.outstanding(), 1u);
+    const Vec4 first = buf->get();
+    const Vec4 second = buf->get();
+    EXPECT_EQ(first.lane[0], 1.0);
+    EXPECT_EQ(first.lane[3], 4.0);
+    EXPECT_EQ(second.lane[2], 7.0);
+    EXPECT_EQ(second.lane[3], 0.0);
+  }
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(TransferBuffer, ClearReturnsQueuedPayloadsToThePool) {
+  PayloadPool pool;
+  TransferBuffer left(pool, 4);
+  TransferBuffer right(pool, 4);
+  const std::vector<double> tile(9, 2.5);  // 3 messages
+  Payload& shared = pool.pack(tile, 2);
+  left.put_payload(shared);
+  right.put_payload(shared);
+  left.put(Vec4::splat(1.0));
+  left.get();  // partly drains the shared payload
+  EXPECT_EQ(left.size(), 3u);
+  EXPECT_EQ(pool.outstanding(), 2u);
+  left.clear();
+  EXPECT_EQ(left.size(), 0u);
+  EXPECT_EQ(pool.outstanding(), 1u);  // `right` still holds the tile
+  right.clear();
+  EXPECT_EQ(pool.outstanding(), 0u);
+  // Both blocks are reused, not reallocated.
+  const std::size_t blocks = pool.blocks();
+  left.put_payload(pool.pack(tile, 1));
+  left.put(Vec4::splat(3.0));
+  EXPECT_EQ(pool.blocks(), blocks);
+  std::vector<double> out(12, -1);
+  left.get_unpacked(out);
+  EXPECT_EQ(out[8], 2.5);
+  EXPECT_EQ(out[9], 0.0);
+  EXPECT_EQ(out[11], 0.0);
+  EXPECT_EQ(left.get().lane[0], 3.0);
+  EXPECT_EQ(pool.outstanding(), 0u);
 }
 
 }  // namespace

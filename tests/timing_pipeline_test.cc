@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/arch/isa.h"
 #include "src/timing/kernels.h"
 #include "src/timing/pipeline.h"
@@ -74,6 +77,36 @@ TEST_P(EeClosedForm, SimulatedEEMatchesPaperFormula) {
 
 INSTANTIATE_TEST_SUITE_P(ChannelSweep, EeClosedForm,
                          ::testing::Values(8, 16, 32, 64, 128, 256, 384));
+
+TEST(PipelineSim, SimulatedEEIsTheReplayOnEveryCallAndThread) {
+  // simulated_ee is computed once per (trip count, schedule); every call,
+  // from any thread, returns the replay's value bitwise.
+  std::vector<double> expected;
+  for (std::int64_t ni = 1; ni <= 96; ni += 5) {
+    const int n = inner_iterations_for_channels(ni);
+    for (bool reordered : {false, true}) {
+      const auto stream = reordered ? reordered_stream(n) : original_stream(n);
+      expected.push_back(
+          DualPipelineSimulator().simulate(stream).execution_efficiency());
+    }
+  }
+  std::vector<std::thread> callers;
+  std::vector<int> mismatches(4, 0);
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    callers.emplace_back([&mismatches, &expected, t] {
+      for (int pass = 0; pass < 2; ++pass) {
+        std::size_t i = 0;
+        for (std::int64_t ni = 1; ni <= 96; ni += 5) {
+          for (bool reordered : {false, true}) {
+            if (simulated_ee(ni, reordered) != expected[i++]) ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
 
 TEST(PipelineSim, EEGrowsWithChannelCount) {
   // "larger Ni will get higher execution efficiency."
