@@ -1,7 +1,8 @@
 // Reproduces paper Fig. 7: double-precision convolution throughput for
-// the 101 (Ni, No) configurations of the Fig. 8 scripts, swDNN (on the
-// simulated SW26010, level-2 cycle accounting) against the modeled
-// cuDNNv5-on-K40m baseline. B = 128, 64x64 output images, 3x3 filters.
+// the 101 (Ni, No) configurations of the Fig. 8 scripts, swDNN (the
+// closed-form model of the chosen plan on the 4-CG chip) against the
+// modeled cuDNNv5-on-K40m baseline. B = 128, 64x64 output images, 3x3
+// filters.
 //
 // Paper headline to reproduce in shape: swDNN mostly above 1.6 Tflops
 // and stable; cuDNN jagged; speedups 1.91x - 9.75x.
@@ -26,17 +27,17 @@ int main() {
 
   std::printf("=== Fig. 7: conv performance, 101 (Ni,No) configs "
               "(B=128, out 64x64, filter 3x3) ===\n");
-  std::printf("swDNN: level-2 cycle-accounted throughput on the simulated "
-              "chip (4 CGs).\ncuDNN: modeled cuDNNv5 on K40m "
+  std::printf("swDNN model: closed-form estimate of the chosen plan on "
+              "the chip (4 CGs).\ncuDNN: modeled cuDNNv5 on K40m "
               "(perf/k40m.cc envelope).\n\n");
 
-  // The per-family columns are the best modeled (level-3) Gflop/s per
-  // CG among each mapping family's executable plans: they show where
-  // along the channel axis the chooser's winner crosses from one
-  // family to another (0 = that family cannot map the shape).
+  // The per-family columns are the best modeled Gflop/s per CG among
+  // each mapping family's executable plans: they show where along the
+  // channel axis the chooser's winner crosses from one family to
+  // another (0 = that family cannot map the shape).
   TextTable table;
   table.set_header({"#", "Ni", "No", "plan", "img", "batch", "fgrain",
-                    "swDNN Gflops", "cuDNN Gflops", "speedup"});
+                    "swDNN model Gflops", "cuDNN Gflops", "speedup"});
   double lo_sp = 1e30, hi_sp = 0;
   std::vector<double> ours, theirs;
   int index = 0;
@@ -44,17 +45,17 @@ int main() {
     ++index;
     const auto choice = sw.plan_for(shape);
     const auto fam = swdnn::bench::plan_family_bests(sw, shape);
-    const double g = sw.cycle_accounted_gflops_chip(shape, choice.plan);
+    const double model_gflops = choice.estimate.gflops_chip;
     const double cud = k40.conv_gflops(shape);
-    const double sp = g / cud;
+    const double sp = model_gflops / cud;
     lo_sp = std::min(lo_sp, sp);
     hi_sp = std::max(hi_sp, sp);
-    ours.push_back(g);
+    ours.push_back(model_gflops);
     theirs.push_back(cud);
     table.add_row({std::to_string(index), std::to_string(shape.ni),
                    std::to_string(shape.no), choice.plan.to_string(),
                    fmt_double(fam.img, 0), fmt_double(fam.batch, 0),
-                   fmt_double(fam.fgrain, 0), fmt_double(g, 0),
+                   fmt_double(fam.fgrain, 0), fmt_double(model_gflops, 0),
                    fmt_double(cud, 0), fmt_speedup(sp)});
   }
   std::printf("%s\n", table.render().c_str());
@@ -91,7 +92,7 @@ int main() {
   std::printf("--- Summary (paper values in parentheses) ---\n");
   std::printf("speedup range        : %.2fx - %.2fx   (1.91x - 9.75x)\n",
               lo_sp, hi_sp);
-  std::printf("swDNN mean +- sd     : %.0f +- %.0f Gflops; CV %.2f over "
+  std::printf("swDNN model mean +- sd: %.0f +- %.0f Gflops; CV %.2f over "
               "all configs\n",
               mean_sw, sd_sw, sd_sw / mean_sw);
   std::printf("cuDNN mean +- sd     : %.0f +- %.0f Gflops; CV %.2f\n",

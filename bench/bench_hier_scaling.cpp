@@ -144,17 +144,18 @@ int main() {
   {
     conv::SwConvolution sw;
     const auto shape = swdnn::bench::paper_shape(256, 256);
-    const auto plan = sw.plan_for(shape).plan;
-    const double per_cg = sw.cycle_accounted_gflops_per_cg(shape, plan);
+    const auto choice = sw.plan_for(shape);
+    const auto& plan = choice.plan;
+    const double model_per_cg = choice.estimate.gflops_per_cg;
     TextTable table;
     table.set_header({"CGs", "Gflops", "speedup", "efficiency"});
     for (int cgs = 1; cgs <= 4; ++cgs) {
       const double rows = static_cast<double>(shape.ro());
       const double part = std::ceil(rows / cgs);
-      const double gf = per_cg * cgs * (rows / (part * cgs));
+      const double gf = model_per_cg * cgs * (rows / (part * cgs));
       table.add_row({std::to_string(cgs), fmt_double(gf, 0),
-                     fmt_double(gf / per_cg, 2) + "x",
-                     fmt_double(100.0 * gf / (per_cg * cgs), 1) + "%"});
+                     fmt_double(gf / model_per_cg, 2) + "x",
+                     fmt_double(100.0 * gf / (model_per_cg * cgs), 1) + "%"});
     }
     std::printf("modeled multi-CG scaling for %s, plan %s:\n%s\n",
                 shape.to_string().c_str(), plan.to_string().c_str(),

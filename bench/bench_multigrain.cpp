@@ -80,7 +80,7 @@ struct SweepRow {
   std::string axis;  ///< "fig7" | "fig9" | "ragged"
   ConvShape shape;
   std::string winner_plan;
-  perf::PlanKind winner_kind = perf::PlanKind::kDirect;
+  const char* winner_kind = "host";
   double winner_gflops = 0;
   double best_img = 0, best_batch = 0, best_fgrain = 0;
   bool has_incumbent = false;
@@ -95,7 +95,7 @@ SweepRow sweep_shape(conv::SwConvolution& sw, const std::string& axis,
   const FamilyScores fs = family_scores(sw, shape);
   if (fs.winner) {
     row.winner_plan = fs.winner->plan.to_string();
-    row.winner_kind = fs.winner->plan.kind;
+    row.winner_kind = perf::plan_kind_name(fs.winner->plan.kind);
     row.winner_gflops = fs.winner->estimate.gflops_per_cg;
   } else {
     row.winner_plan = "host";
@@ -202,7 +202,7 @@ void json_rows(std::FILE* f, const char* key,
         "\"best_batch\": %.3f, \"best_fgrain\": %.3f, "
         "\"multigrain_modeled_speedup\": %.3f}%s\n",
         r.shape.batch, r.shape.ni, r.shape.no, r.shape.ro(), r.shape.kr,
-        r.winner_plan.c_str(), perf::plan_kind_name(r.winner_kind),
+        r.winner_plan.c_str(), r.winner_kind,
         r.winner_gflops, r.best_img, r.best_batch, r.best_fgrain,
         r.multigrain_modeled_speedup,
         i + 1 < rows.size() ? "," : "");
@@ -249,7 +249,7 @@ int main() {
   for (const auto* rows : {&fig7, &fig9, &ragged}) {
     for (const SweepRow& r : *rows) {
       if (r.winner_gflops > 0) {
-        ++winner_histogram[perf::plan_kind_name(r.winner_kind)];
+        ++winner_histogram[r.winner_kind];
       }
     }
   }

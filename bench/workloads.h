@@ -72,8 +72,6 @@ inline PlanFamilyBests plan_family_bests(conv::SwConvolution& sw,
     const perf::PlanChoice& ch = lookup.entry->ranked[e];
     const double g = ch.estimate.gflops_per_cg;
     switch (ch.plan.kind) {
-      case perf::PlanKind::kDirect:
-        break;  // never executable
       case perf::PlanKind::kImageSizeAware:
         out.img = std::max(out.img, g);
         break;

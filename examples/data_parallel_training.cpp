@@ -71,10 +71,9 @@ int main(int argc, char** argv) try {
   swdnn::conv::SwConvolution sw;
   const auto layer = swdnn::conv::ConvShape::from_output(128, 256, 256, 64,
                                                          64, 3, 3);
-  const auto choice = sw.plan_for(layer);
+  const double model_gflops_chip = sw.estimate(layer).gflops_chip;
   const double step_seconds =
-      static_cast<double>(layer.flops()) /
-      (sw.cycle_accounted_gflops_chip(layer, choice.plan) * 1e9);
+      static_cast<double>(layer.flops()) / (model_gflops_chip * 1e9);
   const std::int64_t vgg_gradient_bytes =
       static_cast<std::int64_t>(138e6) * 8;  // ~138M params, f64
 

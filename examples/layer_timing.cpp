@@ -1,7 +1,7 @@
 // Layer timing: estimate the per-layer and total conv time of a VGG-like
-// network on the simulated SW26010 — the workflow of someone porting a
-// real model to the machine. Uses the plan chooser per layer and prints
-// the network's conv-time budget.
+// network on one SW26010 — the workflow of someone porting a real model
+// to the machine. Uses the plan chooser per layer and prints the
+// network's conv-time budget as the closed-form model predicts it.
 //
 // Usage: layer_timing [--batch=128]
 
@@ -33,22 +33,23 @@ int main(int argc, char** argv) try {
 
   conv::SwConvolution sw;
   swdnn::util::TextTable table;
-  table.set_header({"layer", "shape", "plan", "Gflops/chip", "time (ms)",
-                    "Gflop"});
+  table.set_header({"layer", "shape", "plan", "model Gflops/chip",
+                    "model time (ms)", "Gflop"});
   double total_time = 0, total_flops = 0;
   for (const auto& l : layers) {
     const auto shape =
         conv::ConvShape::from_output(batch, l.ni, l.no, l.out, l.out, 3, 3);
     const auto choice = sw.plan_for(shape);
-    const double gflops = sw.cycle_accounted_gflops_chip(shape, choice.plan);
-    const double seconds = static_cast<double>(shape.flops()) / (gflops * 1e9);
+    const double model_gflops = choice.estimate.gflops_chip;
+    const double seconds =
+        static_cast<double>(shape.flops()) / (model_gflops * 1e9);
     total_time += seconds;
     total_flops += static_cast<double>(shape.flops());
     table.add_row({l.name,
                    std::to_string(l.ni) + "->" + std::to_string(l.no) + " @" +
                        std::to_string(l.out) + "x" + std::to_string(l.out),
                    choice.plan.to_string(),
-                   swdnn::util::fmt_double(gflops, 0),
+                   swdnn::util::fmt_double(model_gflops, 0),
                    swdnn::util::fmt_double(seconds * 1e3, 2),
                    swdnn::util::fmt_double(
                        static_cast<double>(shape.flops()) / 1e9, 1)});

@@ -58,12 +58,10 @@ int main(int argc, char** argv) try {
   std::printf("%s\n", table.render().c_str());
 
   if (!ranked.empty()) {
-    conv::SwConvolution sw;
     const auto& best = ranked.front();
-    std::printf("best plan %s: model %.0f Gflops/CG; cycle-accounted "
-                "(level 2) %.0f Gflops/CG; layer time %.2f ms on 4 CGs\n",
+    std::printf("best plan %s: model %.0f Gflops/CG; modeled layer time "
+                "%.2f ms on 4 CGs\n",
                 best.plan.to_string().c_str(), best.estimate.gflops_per_cg,
-                sw.cycle_accounted_gflops_per_cg(shape, best.plan),
                 1e3 * best.estimate.seconds_for(shape.flops()));
   }
   return 0;

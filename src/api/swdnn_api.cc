@@ -64,8 +64,6 @@ void set_error(Handle* handle, const char* message) {
 
 PlanAlgo to_plan_algo(perf::PlanKind kind) {
   switch (kind) {
-    case perf::PlanKind::kDirect:
-      return PlanAlgo::kDirect;
     case perf::PlanKind::kImageSizeAware:
       return PlanAlgo::kImageSizeAware;
     case perf::PlanKind::kBatchSizeAware:

@@ -175,7 +175,11 @@ ExecutionRoute last_execution_route(const Handle* handle);
 /// Table III mappings plus the multigrain family (DESIGN.md §16).
 enum class PlanAlgo {
   kNone = 0,        ///< no plan ran (host route, or no call yet)
-  kDirect,          ///< direct-gload strawman
+  /// Retired: the direct-gload strawman of Fig. 2 is a model number
+  /// (perf::PerformanceModel::direct_gload_gflops_per_cg), never a plan,
+  /// so no call returns this value. It stays so existing switches over
+  /// PlanAlgo keep compiling.
+  kDirect,
   kImageSizeAware,  ///< Algorithm 1
   kBatchSizeAware,  ///< Algorithm 2
   kFilterGrained,   ///< filters x im2col-pixels mesh GEMM

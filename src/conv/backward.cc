@@ -4,30 +4,25 @@
 
 namespace swdnn::conv {
 
-tensor::Tensor zero_pad_output_gradient(const tensor::Tensor& d_output,
-                                        const ConvShape& shape) {
+void zero_pad_output_gradient(const tensor::Tensor& d_output,
+                              const ConvShape& shape, tensor::Tensor& padded) {
   const std::int64_t pr = shape.kr - 1;
   const std::int64_t pc = shape.kc - 1;
-  tensor::Tensor padded({shape.ro() + 2 * pr, shape.co() + 2 * pc, shape.no,
-                         shape.batch});
   for (std::int64_t r = 0; r < shape.ro(); ++r)
     for (std::int64_t c = 0; c < shape.co(); ++c)
       for (std::int64_t no = 0; no < shape.no; ++no)
         for (std::int64_t b = 0; b < shape.batch; ++b)
           padded.at(r + pr, c + pc, no, b) = d_output.at(r, c, no, b);
-  return padded;
 }
 
-tensor::Tensor rotate_filter(const tensor::Tensor& filter,
-                             const ConvShape& shape) {
-  tensor::Tensor rotated({shape.kr, shape.kc, shape.no, shape.ni});
+void rotate_filter(const tensor::Tensor& filter, const ConvShape& shape,
+                   tensor::Tensor& rotated) {
   for (std::int64_t kr = 0; kr < shape.kr; ++kr)
     for (std::int64_t kc = 0; kc < shape.kc; ++kc)
       for (std::int64_t ni = 0; ni < shape.ni; ++ni)
         for (std::int64_t no = 0; no < shape.no; ++no)
           rotated.at(kr, kc, no, ni) =
               filter.at(shape.kr - 1 - kr, shape.kc - 1 - kc, ni, no);
-  return rotated;
 }
 
 ConvShape backward_data_shape(const ConvShape& shape) {
@@ -71,17 +66,8 @@ ForwardResult swconv_backward_data(SwConvolution& sw,
       pool != nullptr
           ? pool->acquire_dirty(rotated_dims)
           : tensor::PooledTensor(nullptr, tensor::Tensor(rotated_dims));
-  for (std::int64_t r = 0; r < shape.ro(); ++r)
-    for (std::int64_t c = 0; c < shape.co(); ++c)
-      for (std::int64_t no = 0; no < shape.no; ++no)
-        for (std::int64_t b = 0; b < shape.batch; ++b)
-          padded->at(r + pr, c + pc, no, b) = d_output.at(r, c, no, b);
-  for (std::int64_t kr = 0; kr < shape.kr; ++kr)
-    for (std::int64_t kc = 0; kc < shape.kc; ++kc)
-      for (std::int64_t ni = 0; ni < shape.ni; ++ni)
-        for (std::int64_t no = 0; no < shape.no; ++no)
-          rotated->at(kr, kc, no, ni) =
-              filter.at(shape.kr - 1 - kr, shape.kc - 1 - kc, ni, no);
+  zero_pad_output_gradient(d_output, shape, *padded);
+  rotate_filter(filter, shape, *rotated);
   return sw.execute_choice(choice, *padded, *rotated, d_input, bshape);
 }
 

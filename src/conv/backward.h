@@ -24,14 +24,17 @@
 namespace swdnn::conv {
 
 /// Zero-pads an output-gradient tensor [Ro][Co][No][B] by (Kr-1, Kc-1)
-/// on every spatial side: the "full correlation" input.
-tensor::Tensor zero_pad_output_gradient(const tensor::Tensor& d_output,
-                                        const ConvShape& shape);
+/// on every spatial side, the "full correlation" input: writes it into
+/// the interior of `padded` ([Ro+2(Kr-1)][Co+2(Kc-1)][No][B]), whose
+/// border the caller provides zeroed.
+void zero_pad_output_gradient(const tensor::Tensor& d_output,
+                              const ConvShape& shape, tensor::Tensor& padded);
 
 /// Rotates the filter 180 degrees spatially and swaps the channel axes:
-/// result[kr][kc][no][ni] = w[Kr-1-kr][Kc-1-kc][ni][no].
-tensor::Tensor rotate_filter(const tensor::Tensor& filter,
-                             const ConvShape& shape);
+/// rotated[kr][kc][no][ni] = w[Kr-1-kr][Kc-1-kc][ni][no]. Overwrites
+/// every element of `rotated` ([Kr][Kc][No][Ni]).
+void rotate_filter(const tensor::Tensor& filter, const ConvShape& shape,
+                   tensor::Tensor& rotated);
 
 /// The forward-shape equivalent of the backward-data pass: same batch
 /// and filter extents, input/output channel counts swapped, output

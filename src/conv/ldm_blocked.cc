@@ -2,8 +2,10 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/conv/regcomm_gemm.h"
+#include "src/tensor/layout.h"
 
 namespace swdnn::conv {
 
@@ -42,11 +44,14 @@ void check_mesh_compatibility(const ConvShape& shape,
 
   require(shape.ni % p == 0, "Ni must divide by the mesh dimension");
   require(shape.no % p == 0, "No must divide by the mesh dimension");
-  require(shape.co() % plan.block_co == 0, "Co must divide by block_co");
+  require(plan.block_co > 0 && shape.co() % plan.block_co == 0,
+          "Co must divide by block_co");
   switch (plan.kind) {
     case perf::PlanKind::kImageSizeAware:
-      require(plan.block_b % p == 0,
-              "block_b must divide by the mesh dimension");
+      // Each CPE owns whole 256-bit batch quads of the Section V-C
+      // layout.
+      require(plan.block_b > 0 && plan.block_b % (4 * p) == 0,
+              "block_b must be a multiple of 4 x the mesh dimension");
       require(shape.batch % plan.block_b == 0,
               "batch must divide by block_b");
       break;
@@ -54,8 +59,6 @@ void check_mesh_compatibility(const ConvShape& shape,
       require(shape.batch % p == 0,
               "batch must divide by the mesh dimension");
       break;
-    case perf::PlanKind::kDirect:
-      throw MeshMappingError("direct plan has no mesh kernel");
     case perf::PlanKind::kFilterGrained:
       break;  // handled above
   }
@@ -77,10 +80,23 @@ sim::LaunchStats run_image_size_aware(sim::MeshExecutor& exec,
   const std::int64_t no_p = shape.no / p;
   const std::int64_t bb = plan.block_b;
   const std::int64_t bb_p = bb / p;
+  const std::int64_t quads_p = bb_p / 4;  // batch quads per CPE
   const std::int64_t bco = plan.block_co;
-  const std::int64_t s_tile = bco * bb_p;  // pixel-batch extent per CPE
-  const std::int64_t big_b = shape.batch;
+  const std::int64_t run = bco * 4;       // one (C, lane) run of a quad
+  const std::int64_t s_tile = bco * bb_p;
   const std::int64_t big_no = shape.no;
+
+  // Host staging into the Section V-C layout over the rows this launch
+  // touches: input rows [ro_begin, ro_end + Kr - 1), output rows
+  // [ro_begin, ro_end), each [B/4][N][rows][C][4].
+  const std::int64_t in_rows = ro_end - ro_begin + shape.kr - 1;
+  const std::int64_t out_rows = ro_end - ro_begin;
+  std::vector<double> in_vec(
+      static_cast<std::size_t>(shape.batch * shape.ni * in_rows * shape.ci));
+  std::vector<double> out_vec(
+      static_cast<std::size_t>(shape.batch * shape.no * out_rows * shape.co()));
+  tensor::pack_image_size_aware_rows(input, ro_begin, ro_begin + in_rows,
+                                     in_vec);
 
   auto kernel = [&, ro_begin, ro_end](sim::CpeContext& ctx) {
     const std::int64_t i = ctx.row();  // Di channel block / Do channel block
@@ -97,7 +113,15 @@ sim::LaunchStats run_image_size_aware(sim::MeshExecutor& exec,
     auto do_tile = ctx.ldm().alloc_doubles(
         static_cast<std::size_t>(no_p * s_tile));
 
+    // The GEMM's n axis runs in the layout's [quad][column][lane] order,
+    // so each DMA run lands in (and leaves) its tile unshuffled.
+    auto tile_run = [&](std::span<double> tile, std::int64_t channel,
+                        std::int64_t q) {
+      return tile.subspan(static_cast<std::size_t>(channel * s_tile + q * run),
+                          static_cast<std::size_t>(run));
+    };
     for (std::int64_t b0 = 0; b0 < shape.batch; b0 += bb) {
+      const std::int64_t q0 = (b0 + j * bb_p) / 4;  // first owned quad
       for (std::int64_t ro = ro_begin; ro < ro_end; ++ro) {
         for (std::int64_t c0 = 0; c0 < shape.co(); c0 += bco) {
           std::fill(do_tile.begin(), do_tile.end(), 0.0);
@@ -109,17 +133,19 @@ sim::LaunchStats run_image_size_aware(sim::MeshExecutor& exec,
                   &filter.data()[filter.offset(
                       {kr, kc, j * ni_p, i * no_p})],
                   ni_p, no_p, big_no, w_tile);
-              // Input pixels (ro+kr, c0+kc+c_rel): channel block i,
-              // batch block j, laid out [ni_local][c_rel*bb_p + b].
-              for (std::int64_t c_rel = 0; c_rel < bco; ++c_rel) {
+              // Input: per (quad, channel) one contiguous bCo*4 run
+              // along (C, lane) — the Section V-C layout payoff.
+              const std::int64_t r = ro - ro_begin + kr;
+              for (std::int64_t q = 0; q < quads_p; ++q) {
                 for (std::int64_t nl = 0; nl < ni_p; ++nl) {
-                  const double* src = &input.data()[input.offset(
-                      {ro + kr, c0 + kc + c_rel, i * ni_p + nl,
-                       j * bb_p + b0})];
-                  std::span<double> dst = di_tile.subspan(
-                      static_cast<std::size_t>(nl * s_tile + c_rel * bb_p),
-                      static_cast<std::size_t>(bb_p));
-                  ctx.dma_get({src, static_cast<std::size_t>(bb_p)}, dst);
+                  const std::int64_t n = i * ni_p + nl;
+                  const double* src =
+                      &in_vec[static_cast<std::size_t>(
+                          (((q0 + q) * shape.ni + n) * in_rows + r) *
+                              shape.ci * 4 +
+                          (c0 + kc) * 4)];
+                  ctx.dma_get({src, static_cast<std::size_t>(run)},
+                              tile_run(di_tile, nl, q));
                 }
               }
               mesh_gemm_accumulate(ctx, w_tile, di_tile, do_tile, w_recv,
@@ -129,121 +155,26 @@ sim::LaunchStats run_image_size_aware(sim::MeshExecutor& exec,
             }
           }
           // Write back: output-channel block i, batch block j.
-          for (std::int64_t c_rel = 0; c_rel < bco; ++c_rel) {
-            for (std::int64_t nl = 0; nl < no_p; ++nl) {
-              double* dst = &output.data()[output.offset(
-                  {ro, c0 + c_rel, i * no_p + nl, j * bb_p + b0})];
-              std::span<const double> src = do_tile.subspan(
-                  static_cast<std::size_t>(nl * s_tile + c_rel * bb_p),
-                  static_cast<std::size_t>(bb_p));
-              ctx.dma_put(src, {dst, static_cast<std::size_t>(bb_p)});
-            }
-          }
-        }
-      }
-    }
-  };
-  (void)big_b;
-  return exec.run(kernel);
-}
-
-sim::LaunchStats run_image_size_aware_vectorized(
-    sim::MeshExecutor& exec, const tensor::Tensor& input_vec,
-    const tensor::Tensor& filter, tensor::Tensor& output_vec,
-    const ConvShape& shape, const perf::ConvPlan& plan,
-    std::int64_t ro_begin, std::int64_t ro_end) {
-  const int p = exec.spec().mesh_rows;
-  check_mesh_compatibility(shape, plan, p);
-  if (plan.block_b % (4 * p) != 0) {
-    throw std::invalid_argument(
-        "vectorized layout: block_b must divide into whole batch quads "
-        "per CPE (multiple of 4*mesh_dim)");
-  }
-  ro_end = resolve_ro_end(shape, ro_end);
-
-  const std::int64_t ni_p = shape.ni / p;
-  const std::int64_t no_p = shape.no / p;
-  const std::int64_t bb = plan.block_b;
-  const std::int64_t bb_p = bb / p;
-  const std::int64_t quads_p = bb_p / 4;  // batch quads per CPE
-  const std::int64_t bco = plan.block_co;
-  const std::int64_t s_tile = bco * bb_p;
-  const std::int64_t big_no = shape.no;
-
-  auto kernel = [&, ro_begin, ro_end](sim::CpeContext& ctx) {
-    const std::int64_t i = ctx.row();
-    const std::int64_t j = ctx.col();
-
-    auto w_tile = ctx.ldm().alloc_doubles(
-        static_cast<std::size_t>(ni_p * no_p));
-    auto w_recv = ctx.ldm().alloc_doubles(
-        static_cast<std::size_t>(ni_p * no_p));
-    auto di_tile = ctx.ldm().alloc_doubles(
-        static_cast<std::size_t>(ni_p * s_tile));
-    auto di_recv = ctx.ldm().alloc_doubles(
-        static_cast<std::size_t>(ni_p * s_tile));
-    auto do_tile = ctx.ldm().alloc_doubles(
-        static_cast<std::size_t>(no_p * s_tile));
-    // One (4, bCo) run of the vectorized layout at a time.
-    auto staging =
-        ctx.ldm().alloc_doubles(static_cast<std::size_t>(bco * 4));
-
-    for (std::int64_t b0 = 0; b0 < shape.batch; b0 += bb) {
-      const std::int64_t q0 = (b0 + j * bb_p) / 4;  // first owned quad
-      for (std::int64_t ro = ro_begin; ro < ro_end; ++ro) {
-        for (std::int64_t c0 = 0; c0 < shape.co(); c0 += bco) {
-          std::fill(do_tile.begin(), do_tile.end(), 0.0);
-          for (std::int64_t kr = 0; kr < shape.kr; ++kr) {
-            for (std::int64_t kc = 0; kc < shape.kc; ++kc) {
-              ctx.dma_get_strided(
-                  &filter.data()[filter.offset(
-                      {kr, kc, j * ni_p, i * no_p})],
-                  ni_p, no_p, big_no, w_tile);
-              // Input: for each (quad, channel) one contiguous bCo*4
-              // run along (C, lane) — the Section V-C layout payoff.
-              for (std::int64_t q = 0; q < quads_p; ++q) {
-                for (std::int64_t nl = 0; nl < ni_p; ++nl) {
-                  const double* src = &input_vec.data()[input_vec.offset(
-                      {q0 + q, i * ni_p + nl, ro + kr, c0 + kc, 0})];
-                  ctx.dma_get({src, static_cast<std::size_t>(bco * 4)},
-                              staging);
-                  for (std::int64_t c_rel = 0; c_rel < bco; ++c_rel) {
-                    for (int lane = 0; lane < 4; ++lane) {
-                      di_tile[static_cast<std::size_t>(
-                          nl * s_tile + c_rel * bb_p + q * 4 + lane)] =
-                          staging[static_cast<std::size_t>(c_rel * 4 +
-                                                           lane)];
-                    }
-                  }
-                }
-              }
-              mesh_gemm_accumulate(ctx, w_tile, di_tile, do_tile, w_recv,
-                                   di_recv, static_cast<int>(no_p),
-                                   static_cast<int>(ni_p),
-                                   static_cast<int>(s_tile));
-            }
-          }
-          // Output write-back, same (4, bCo) run structure.
           for (std::int64_t q = 0; q < quads_p; ++q) {
             for (std::int64_t nl = 0; nl < no_p; ++nl) {
-              for (std::int64_t c_rel = 0; c_rel < bco; ++c_rel) {
-                for (int lane = 0; lane < 4; ++lane) {
-                  staging[static_cast<std::size_t>(c_rel * 4 + lane)] =
-                      do_tile[static_cast<std::size_t>(
-                          nl * s_tile + c_rel * bb_p + q * 4 + lane)];
-                }
-              }
-              double* dst = &output_vec.data()[output_vec.offset(
-                  {q0 + q, i * no_p + nl, ro, c0, 0})];
-              ctx.dma_put(staging,
-                          {dst, static_cast<std::size_t>(bco * 4)});
+              const std::int64_t n = i * no_p + nl;
+              double* dst = &out_vec[static_cast<std::size_t>(
+                  (((q0 + q) * shape.no + n) * out_rows + (ro - ro_begin)) *
+                      shape.co() * 4 +
+                  c0 * 4)];
+              ctx.dma_put(tile_run(do_tile, nl, q),
+                          {dst, static_cast<std::size_t>(run)});
             }
           }
         }
       }
     }
   };
-  return exec.run(kernel);
+  sim::LaunchStats stats = exec.run(kernel);
+  if (!stats.failed) {
+    tensor::unpack_image_size_aware_rows(out_vec, ro_begin, ro_end, output);
+  }
+  return stats;
 }
 
 sim::LaunchStats run_batch_size_aware(sim::MeshExecutor& exec,

@@ -15,12 +15,14 @@
 //
 // Both use the Fig. 3 mesh data distribution: nothing is duplicated
 // across CPEs, remote operands travel over the register-communication
-// buses only. Tensors are canonical: input [Ri][Ci][Ni][B], filter
-// [Kr][Kc][Ni][No], output [Ro][Co][No][B].
+// buses only. Callers pass canonical tensors: input [Ri][Ci][Ni][B],
+// filter [Kr][Kc][Ni][No], output [Ro][Co][No][B]. Algorithm 1 stages
+// the rows it touches into the Section V-C layout on the host (see
+// run_image_size_aware); Algorithm 2 reads the canonical tensors.
 //
-// These kernels are the library's ground-truth-checked level-1 fidelity
-// path (see DESIGN.md §5); paper-scale shapes go through the
-// performance model instead.
+// Every output is bitwise equal to conv::reference_forward. The
+// simulator's LaunchStats are the library's measured clock (Table III's
+// `meas`); the closed-form model in src/perf is the other one.
 
 #include <stdexcept>
 
@@ -43,18 +45,29 @@ class MeshMappingError : public std::invalid_argument {
 };
 
 /// Throws MeshMappingError unless the shape/plan divide cleanly over a
-/// `mesh_dim` x `mesh_dim` mesh: Ni, No, and the batch tile (block_b
-/// for the image plan, B for the batch plan) must be multiples of
-/// mesh_dim, batch a multiple of block_b (image plan), and Co a
-/// multiple of block_co. The filter-grained mapping (multigrain.h)
-/// skips the divisibility rules — its tiles are ceil-divided — and is
-/// refused only for strides != 1 or when its tile set overflows LDM.
+/// `mesh_dim` x `mesh_dim` mesh: Ni and No must be multiples of
+/// mesh_dim, Co a multiple of block_co, and the batch tile must split
+/// evenly — for the image plan block_b is a multiple of 4 * mesh_dim
+/// (whole 256-bit batch quads per CPE) and batch a multiple of block_b;
+/// for the batch plan B is a multiple of mesh_dim. The filter-grained
+/// mapping (multigrain.h) skips the divisibility rules — its tiles are
+/// ceil-divided — and is refused only for strides != 1 or when its tile
+/// set overflows LDM.
 void check_mesh_compatibility(const ConvShape& shape,
                               const perf::ConvPlan& plan, int mesh_dim);
 
 /// Algorithm 1 on the simulator. Computes output rows [ro_begin,
 /// ro_end) — the multi-CG path passes each core group its row
 /// partition; the defaults cover the whole image.
+///
+/// The kernel runs on the Section V-C image-size-aware layout
+/// ([B/4][N][R][C][4]): the host packs the input rows the launch reads
+/// into it, each CPE DMAs one contiguous bCo*4-double run per (batch
+/// quad, channel) straight into its mesh-GEMM tile, and the host
+/// unpacks the output rows after the launch. The staging is host wall
+/// time that no simulated clock charges, and it allocates two plain
+/// buffers (no tensor::Tensor). After a launch that reports a failure
+/// `output` is left untouched.
 sim::LaunchStats run_image_size_aware(sim::MeshExecutor& exec,
                                       const tensor::Tensor& input,
                                       const tensor::Tensor& filter,
@@ -63,21 +76,6 @@ sim::LaunchStats run_image_size_aware(sim::MeshExecutor& exec,
                                       const perf::ConvPlan& plan,
                                       std::int64_t ro_begin = 0,
                                       std::int64_t ro_end = -1);
-
-/// Algorithm 1 operating directly on the Section V-C image-size-aware
-/// layout: input and output are (4, C, R, N, B/4) tensors (row-major
-/// [B/4][N][R][C][4]), the filter stays canonical. Functionally
-/// identical to run_image_size_aware on the transformed tensors; what
-/// changes is the DMA pattern — contiguous runs grow from bB/8 doubles
-/// to bCo*4 doubles, which is the entire point of the layout (compare
-/// LaunchStats.dma.requests between the two). Additionally requires
-/// block_b to be a multiple of 4*mesh_dim so every CPE owns whole
-/// batch quads.
-sim::LaunchStats run_image_size_aware_vectorized(
-    sim::MeshExecutor& exec, const tensor::Tensor& input_vec,
-    const tensor::Tensor& filter, tensor::Tensor& output_vec,
-    const ConvShape& shape, const perf::ConvPlan& plan,
-    std::int64_t ro_begin = 0, std::int64_t ro_end = -1);
 
 /// Algorithm 2 on the simulator (same conventions).
 sim::LaunchStats run_batch_size_aware(sim::MeshExecutor& exec,

@@ -18,18 +18,28 @@ void reference_forward(const tensor::Tensor& input,
                        const tensor::Tensor& filter, tensor::Tensor& output,
                        const ConvShape& s) {
   output.zero();
+  // Raw row-major indexing of the canonical layouts: each output still
+  // sums its terms in this loop order, the order every mesh kernel's
+  // bitwise contract is stated against.
+  const double* in = input.data().data();
+  const double* wt = filter.data().data();
+  double* out = output.data().data();
   for (std::int64_t ro = 0; ro < s.ro(); ++ro)
     for (std::int64_t co = 0; co < s.co(); ++co)
       for (std::int64_t kr = 0; kr < s.kr; ++kr)
         for (std::int64_t kc = 0; kc < s.kc; ++kc)
-          for (std::int64_t ni = 0; ni < s.ni; ++ni)
+          for (std::int64_t ni = 0; ni < s.ni; ++ni) {
+            const double* x =
+                in + (((ro * s.stride_r + kr) * s.ci + co * s.stride_c + kc) *
+                          s.ni +
+                      ni) *
+                         s.batch;
             for (std::int64_t no = 0; no < s.no; ++no) {
-              const double w = filter.at(kr, kc, ni, no);
-              for (std::int64_t b = 0; b < s.batch; ++b) {
-                output.at(ro, co, no, b) +=
-                    input.at(ro * s.stride_r + kr, co * s.stride_c + kc, ni, b) * w;
-              }
+              const double w = wt[((kr * s.kc + kc) * s.ni + ni) * s.no + no];
+              double* y = out + ((ro * s.co() + co) * s.no + no) * s.batch;
+              for (std::int64_t b = 0; b < s.batch; ++b) y[b] += x[b] * w;
             }
+          }
 }
 
 void reference_backward_data(const tensor::Tensor& d_output,

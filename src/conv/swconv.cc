@@ -1,28 +1,17 @@
 #include "src/conv/swconv.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
 #include "src/conv/backward.h"
 #include "src/conv/multigrain.h"
 #include "src/conv/reference.h"
-#include "src/timing/kernels.h"
 #include "src/util/rng.h"
 
 namespace swdnn::conv {
 
 namespace {
-
-// Level-2 overhead constants. Each is a physical effect the closed-form
-// model ignores; together they explain why measured throughput sits
-// below the model (Table III: meas/mdl = 0.94-0.97).
-constexpr double kDmaSetupCycles = 256.0;   ///< descriptor + engine launch
-constexpr double kBarrierCycles = 32.0;     ///< per mesh-GEMM step sync
-constexpr double kBusBytesPerCycle = 32.0;  ///< one 256-bit message/cycle
-// Fraction of bus traffic the P1 pipeline cannot hide under P0 compute.
-constexpr double kBusVisibleFraction = 0.25;
 
 bool executable_on_mesh(const ConvShape& shape, const perf::ConvPlan& plan,
                         int mesh_dim) {
@@ -36,7 +25,7 @@ bool executable_on_mesh(const ConvShape& shape, const perf::ConvPlan& plan,
 
 /// Runs `plan`'s mesh kernel over output rows [ro_begin, ro_end);
 /// throws sim::LaunchFault after a launch that reports a fault it could
-/// not absorb, MeshMappingError for a plan with no mesh kernel.
+/// not absorb.
 sim::LaunchStats run_plan(sim::MeshExecutor& exec, const perf::ConvPlan& plan,
                           const tensor::Tensor& input,
                           const tensor::Tensor& filter, tensor::Tensor& output,
@@ -56,8 +45,6 @@ sim::LaunchStats run_plan(sim::MeshExecutor& exec, const perf::ConvPlan& plan,
       stats = run_filter_grained(exec, input, filter, output, shape, plan,
                                  ro_begin, ro_end);
       break;
-    case perf::PlanKind::kDirect:
-      throw MeshMappingError("direct plan has no mesh kernel");
   }
   if (stats.failed) {
     throw sim::LaunchFault(stats.failure, stats.persistent_fault);
@@ -314,109 +301,6 @@ sim::MultiCgStats SwConvolution::forward_multi_cg(
                                     part.begin, part.end));
   }
   return stats;
-}
-
-double SwConvolution::cycle_accounted_gflops_per_cg(
-    const ConvShape& shape, const perf::ConvPlan& plan) const {
-  const auto& model = chooser_.model();
-  if (plan.kind == perf::PlanKind::kDirect) {
-    // Direct plan: the closed-form number is the whole story.
-    return model.direct_gload_gflops_per_cg();
-  }
-
-  // Level 2 = the closed-form estimate derated by the per-CPE cycles the
-  // loop-nest walk counts but the model ignores: the visible fraction of
-  // register-communication bus traffic, one synchronization per mesh
-  // GEMM step, and DMA descriptor setup per request. All three are
-  // expressed against the FMA cycles of one outer-loop step so the
-  // derate is shape- and plan-dependent (the batch plan issues many
-  // small mesh GEMMs per step and pays proportionally more).
-  const int p = spec_.mesh_rows;
-  const double ds = 8.0;
-
-  const auto b = static_cast<double>(shape.batch);
-  const auto ni = static_cast<double>(shape.ni);
-  const auto no = static_cast<double>(shape.no);
-  const auto krkc = static_cast<double>(shape.kr * shape.kc);
-  const double ni_p = ni / p, no_p = no / p;
-
-  double flops_cpe_step = 0;    // FMA flops per CPE per outer step
-  double bus_bytes_cpe = 0;     // bus bytes received per CPE per step
-  double gemm_steps = 0;        // mesh GEMM bus/sync rounds per step
-  double dma_requests = 0;      // DMA descriptors per CPE per step
-
-  switch (plan.kind) {
-    case perf::PlanKind::kImageSizeAware: {
-      const double bb = static_cast<double>(plan.block_b);
-      const double bco = static_cast<double>(plan.block_co);
-      const double s_tile = bco * bb / p;  // pixel-batch extent per CPE
-      flops_cpe_step = 2.0 * krkc * ni_p * no_p * s_tile * p;  // over t steps
-      bus_bytes_cpe = krkc * (p - 1.0) * (ni_p * no_p + ni_p * s_tile) * ds;
-      gemm_steps = krkc * p;
-      dma_requests = krkc * (bco + 1.0) + bco;
-      break;
-    }
-    case perf::PlanKind::kBatchSizeAware: {
-      const double bco = static_cast<double>(plan.block_co);
-      const double kc = static_cast<double>(shape.kc);
-      const double kr = static_cast<double>(shape.kr);
-      const double b_p = b / p;
-      const double gemms = kr * bco * kc;  // valid (ci, kc) pairs per step
-      flops_cpe_step = 2.0 * gemms * ni_p * no_p * b_p * p;
-      bus_bytes_cpe = gemms * (p - 1.0) * (ni_p * no_p + ni_p * b_p) * ds;
-      gemm_steps = gemms * p;
-      dma_requests = kr * (bco + kc - 1) + gemms + bco;
-    break;
-    }
-    case perf::PlanKind::kFilterGrained: {
-      // Outer step = one pixel-block pass of the mesh GEMM driver:
-      // ceil(K / k_chunk) contraction chunks of ceil-divided tiles.
-      const std::int64_t bpx =
-          perf::filter_grained_block_px(shape, plan, spec_);
-      const std::int64_t chunk =
-          perf::filter_grained_k_chunk(shape, plan, spec_);
-      const double big_k = krkc * ni;
-      const double m_t = std::ceil(no / static_cast<double>(p));
-      const double n_t =
-          std::ceil(static_cast<double>(std::max<std::int64_t>(bpx, 1)) / p);
-      const double k_t = std::ceil(
-          static_cast<double>(std::max<std::int64_t>(chunk, 1)) / p);
-      const double chunks =
-          std::ceil(big_k / static_cast<double>(
-                                std::max<std::int64_t>(chunk, 1)));
-      flops_cpe_step = 2.0 * chunks * p * k_t * m_t * n_t;
-      bus_bytes_cpe = chunks * (p - 1.0) * (k_t * m_t + k_t * n_t) * ds;
-      gemm_steps = chunks * p;
-      dma_requests = chunks * 2.0 * k_t + m_t;
-      break;
-    }
-    case perf::PlanKind::kDirect:
-      break;  // handled above
-  }
-
-  const double fma_cycles =
-      flops_cpe_step / spec_.flops_per_cycle_per_cpe();
-  double overhead_cycles = gemm_steps * kBarrierCycles +
-                           dma_requests * kDmaSetupCycles / (p * p);
-  if (plan.use_register_comm) {
-    overhead_cycles +=
-        kBusVisibleFraction * bus_bytes_cpe / kBusBytesPerCycle;
-  }
-  const double overhead_factor = fma_cycles / (fma_cycles + overhead_cycles);
-
-  const perf::PerfEstimate mdl = model.estimate(shape, plan);
-  return mdl.gflops_per_cg * overhead_factor;
-}
-
-double SwConvolution::cycle_accounted_gflops_chip(
-    const ConvShape& shape, const perf::ConvPlan& plan) const {
-  const double per_cg = cycle_accounted_gflops_per_cg(shape, plan);
-  // Row partitioning is embarrassingly parallel across CGs; the last
-  // partition may be one row longer, bounding scaling efficiency.
-  const double rows = static_cast<double>(shape.ro());
-  const double per_cg_rows = std::ceil(rows / spec_.num_core_groups);
-  const double efficiency = rows / (per_cg_rows * spec_.num_core_groups);
-  return per_cg * spec_.num_core_groups * efficiency;
 }
 
 }  // namespace swdnn::conv

@@ -1,17 +1,15 @@
 #pragma once
 // swDNN's public convolution entry point.
 //
-// Three fidelity levels (DESIGN.md §5):
-//   * forward()            — functional execution on the simulated mesh,
-//                            plan picked by the performance model;
-//                            bit-checked against the naive reference.
-//   * cycle_accounted_*()  — level-2 timing: walks the chosen plan's
-//                            loop nest charging Table II DMA costs,
-//                            pipeline-simulated compute, bus traffic and
-//                            barrier overheads. This is the library's
-//                            stand-in for "measured" silicon numbers
-//                            (Table III's `meas` column).
-//   * estimate()           — level-3 closed-form model (Table III `mdl`).
+// Two clocks (DESIGN.md §5):
+//   * forward()   — functional execution on the simulated mesh, plan
+//                   picked by the performance model, output bitwise equal
+//                   to the naive reference. Its LaunchStats are the
+//                   simulator's clock: every DMA request, bus message and
+//                   flop counted and charged (Table III's `meas`, run on
+//                   a row slice of the paper's shapes).
+//   * estimate()  — the closed-form model (Table III's `mdl`), which also
+//                   drives plan choice.
 //
 // Every launch an object issues — forward plans, swconv_backward_data,
 // backward_filter — runs on its one lazily created executor; an
@@ -134,17 +132,8 @@ class SwConvolution {
   /// Drops every cached plan and zeroes the cache counters.
   void clear_plan_cache() { plan_cache_.clear(); }
 
-  /// Level-3 closed-form estimate for the best plan.
+  /// Closed-form model estimate for the best plan.
   perf::PerfEstimate estimate(const ConvShape& shape) const;
-
-  /// Level-2 cycle-accounted throughput for one core group (Gflop/s).
-  double cycle_accounted_gflops_per_cg(const ConvShape& shape,
-                                       const perf::ConvPlan& plan) const;
-
-  /// Level-2 chip throughput: 4 core groups on row partitions plus the
-  /// launch overhead.
-  double cycle_accounted_gflops_chip(const ConvShape& shape,
-                                     const perf::ConvPlan& plan) const;
 
   const perf::PlanChooser& chooser() const { return chooser_; }
   const arch::Sw26010Spec& spec() const { return spec_; }

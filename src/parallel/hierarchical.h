@@ -119,7 +119,7 @@ struct GradBucket {
   std::int64_t bytes() const { return elements * 8; }
 };
 
-/// Proxy for modeled per-layer compute time (level-3, like the
+/// Proxy for modeled per-layer compute time (closed-form, like the
 /// interconnect model): a backward unit is charged for streaming its
 /// output activation and its parameters, plus a fixed launch overhead;
 /// backward costs a multiple of forward (two GEMMs vs one). The

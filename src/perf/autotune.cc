@@ -34,11 +34,9 @@ PlanChoice ScheduleAutotuner::tune_choice(const conv::ConvShape& shape,
               candidate.promote_filter_dma = true;
               promotable = true;
               break;
-            case PlanKind::kDirect:
             case PlanKind::kFilterGrained:
-              // Nothing to promote: the direct strawman has no DMA
-              // loop to hoist and the filter-grained mapping derives
-              // its DMA schedule from the shape. Their rb_b/rb_no
+              // Nothing to promote: the filter-grained mapping derives
+              // its DMA schedule from the shape. Its rb_b/rb_no
               // register schedule is still searched by the enclosing
               // loops.
               break;

@@ -13,11 +13,32 @@ DmaBandwidthTable::DmaBandwidthTable() {
       {512, 27.42, 30.34},  {576, 25.96, 28.91},  {640, 29.05, 32.00},
       {1024, 29.79, 33.44}, {2048, 31.32, 35.19}, {4096, 32.05, 36.01},
   };
+  const std::int64_t last = samples_.back().block_bytes;
+  lookup_.reserve(static_cast<std::size_t>(4 * (last + 1)));
+  for (DmaDirection dir : {DmaDirection::kGet, DmaDirection::kPut}) {
+    for (bool aligned : {false, true}) {
+      for (std::int64_t b = 0; b <= last; ++b) {
+        lookup_.push_back(interpolated_gbs(b, dir, aligned));
+      }
+    }
+  }
 }
 
 double DmaBandwidthTable::bandwidth_gbs(std::int64_t block_bytes,
                                         DmaDirection dir,
                                         bool aligned_128) const {
+  const std::int64_t last = samples_.back().block_bytes;
+  if (block_bytes < 0 || block_bytes > last) {
+    return interpolated_gbs(block_bytes, dir, aligned_128);
+  }
+  const std::int64_t row =
+      (dir == DmaDirection::kGet ? 0 : 2) + (aligned_128 ? 1 : 0);
+  return lookup_[static_cast<std::size_t>(row * (last + 1) + block_bytes)];
+}
+
+double DmaBandwidthTable::interpolated_gbs(std::int64_t block_bytes,
+                                           DmaDirection dir,
+                                           bool aligned_128) const {
   auto value = [dir](const DmaSample& s) {
     return dir == DmaDirection::kGet ? s.get_gbs : s.put_gbs;
   };

@@ -27,14 +27,22 @@ class DmaBandwidthTable {
   DmaBandwidthTable();
 
   /// Effective bandwidth (GB/s, per core group) for transfers whose
-  /// per-CPE contiguous block is `block_bytes`. Blocks below the first
-  /// sample clamp to it; blocks above the last clamp to the last.
+  /// per-CPE contiguous block is `block_bytes`: interpolated_gbs, read
+  /// from a table filled at construction for blocks up to the last
+  /// sample (4 KB) and computed beyond it. The simulator charges every
+  /// DMA request through this.
+  double bandwidth_gbs(std::int64_t block_bytes, DmaDirection dir,
+                       bool aligned_128 = true) const;
+
+  /// The Table II curve itself, evaluated on each call. Blocks below the
+  /// first sample scale down from it; blocks above the last clamp to
+  /// the last; in between the samples are interpolated linearly.
   /// Misaligned blocks (not a multiple of 128 B) are derated: the DDR3
   /// interface needs 128 B-aligned bursts for near-optimal bandwidth
   /// (Section III-D), so a misaligned block pays roughly one extra
   /// burst per block.
-  double bandwidth_gbs(std::int64_t block_bytes, DmaDirection dir,
-                       bool aligned_128 = true) const;
+  double interpolated_gbs(std::int64_t block_bytes, DmaDirection dir,
+                          bool aligned_128 = true) const;
 
   /// The raw published samples (for the Table II bench and tests).
   const std::vector<DmaSample>& samples() const { return samples_; }
@@ -44,6 +52,9 @@ class DmaBandwidthTable {
 
  private:
   std::vector<DmaSample> samples_;
+  /// interpolated_gbs for blocks 0..samples_.back().block_bytes, indexed
+  /// [direction][aligned][block_bytes].
+  std::vector<double> lookup_;
 };
 
 /// Shared immutable instance of the published table.

@@ -191,18 +191,6 @@ TrafficBreakdown PerformanceModel::traffic(const conv::ConvShape& shape,
     t.output.direction = DmaDirection::kPut;
     break;
   }
-  case PlanKind::kDirect: {
-    // Direct gload: every operand from memory, zero reuse below
-    // registers.
-    t.input.bytes = 2.0 * b * ro * co * ni * no * kr * kc * kDs / 2.0;
-    t.input.block_bytes = 32;
-    t.filter.bytes = t.input.bytes;
-    t.filter.block_bytes = 32;
-    t.output.bytes = b * ro * co * no * kDs;
-    t.output.block_bytes = 32;
-    t.output.direction = DmaDirection::kPut;
-    break;
-  }
   }
 
   auto align = [this](StreamTraffic& s) {
@@ -238,21 +226,7 @@ double PerformanceModel::direct_gload_gflops_per_cg() const {
 PerfEstimate PerformanceModel::estimate(const conv::ConvShape& shape,
                                         const ConvPlan& plan) const {
   PerfEstimate e;
-  if (plan.kind == PlanKind::kDirect) {
-    e.rbw_mem_gbs = spec_.direct_required_bandwidth_gbs();
-    e.mbw_mem_gbs = spec_.gload_bandwidth_gbs;
-    e.ee = 1.0;
-    const double r = std::min(1.0, e.mbw_mem_gbs / e.rbw_mem_gbs);
-    e.mem_factor = r * r;
-    e.ldm_factor = 1.0;
-    e.gflops_per_cg = spec_.peak_gflops_per_cg() * e.mem_factor;
-    e.gflops_chip = e.gflops_per_cg * spec_.num_core_groups;
-    return e;
-  }
-
   switch (plan.kind) {
-    case PlanKind::kDirect:
-      break;  // handled above
     case PlanKind::kImageSizeAware:
       e.rbw_mem_gbs = rbw_image_plan(shape, plan);
       break;

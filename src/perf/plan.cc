@@ -29,8 +29,6 @@ const char* plan_kind_name(PlanKind kind) {
   // (-Wswitch/-Wreturn-type) here and in every switch that describes or
   // dispatches plans.
   switch (kind) {
-    case PlanKind::kDirect:
-      return "direct";
     case PlanKind::kImageSizeAware:
       return "img";
     case PlanKind::kBatchSizeAware:
@@ -43,7 +41,6 @@ const char* plan_kind_name(PlanKind kind) {
 
 bool plan_kind_is_multigrain(PlanKind kind) {
   switch (kind) {
-    case PlanKind::kDirect:
     case PlanKind::kImageSizeAware:
     case PlanKind::kBatchSizeAware:
       return false;
@@ -55,7 +52,6 @@ bool plan_kind_is_multigrain(PlanKind kind) {
 
 PlanFamily plan_kind_family(PlanKind kind) {
   switch (kind) {
-    case PlanKind::kDirect:
     case PlanKind::kImageSizeAware:
     case PlanKind::kBatchSizeAware:
       return PlanFamily::kIncumbent;
@@ -78,8 +74,6 @@ const char* plan_family_name(PlanFamily family) {
 std::string ConvPlan::to_string() const {
   std::string s = plan_kind_name(kind);
   switch (kind) {
-    case PlanKind::kDirect:
-      break;
     case PlanKind::kImageSizeAware:
       s += "(bB=" + std::to_string(block_b) +
            ",bCo=" + std::to_string(block_co) + ")";
@@ -153,11 +147,6 @@ std::int64_t ldm_bytes_required(const conv::ConvShape& shape,
   const std::int64_t rows = spec.mesh_rows;
   const std::int64_t cols = spec.mesh_cols;
 
-  if (plan.kind == PlanKind::kDirect) {
-    // gload keeps nothing resident beyond registers.
-    return 0;
-  }
-
   if (plan.kind == PlanKind::kFilterGrained) {
     // The mesh_gemm driver's tile set at the plan's pixel block and the
     // chunk the driver will pick for it.
@@ -207,7 +196,6 @@ std::int64_t ldm_bytes_required(const conv::ConvShape& shape,
 
 bool plan_feasible(const conv::ConvShape& shape, const ConvPlan& plan,
                    const arch::Sw26010Spec& spec) {
-  if (plan.kind == PlanKind::kDirect) return true;
   if (plan.kind == PlanKind::kFilterGrained) {
     // The filter-grained mapping derives its own tiling from the shape:
     // no bCo/bB knobs, and it contracts the full channel depth (bNi

@@ -30,7 +30,6 @@
 namespace swdnn::perf {
 
 enum class PlanKind {
-  kDirect,          ///< gload straight from memory (Fig. 2 middle column)
   kImageSizeAware,  ///< Algorithm 1: block on Co and B
   kBatchSizeAware,  ///< Algorithm 2: stream pixels, amortize over B
   kFilterGrained,   ///< filters x im2col-pixels mesh GEMM (any shape)
@@ -43,12 +42,12 @@ const char* plan_kind_name(PlanKind kind);
 bool plan_kind_is_multigrain(PlanKind kind);
 
 /// The two mapping families with fundamentally different cost
-/// structures — direct/blocked loads and the im2col-lowered GEMM. The
-/// measured-autotune tournament confirms the model's top pick against
-/// the best executable rival of the OTHER family, because cross-family
-/// is where the model's ordering is least trustworthy.
+/// structures — the paper's blocked loads and the im2col-lowered GEMM.
+/// The measured-autotune tournament confirms the model's top pick
+/// against the best executable rival of the OTHER family, because
+/// cross-family is where the model's ordering is least trustworthy.
 enum class PlanFamily {
-  kIncumbent,      ///< kDirect / kImageSizeAware / kBatchSizeAware
+  kIncumbent,      ///< kImageSizeAware / kBatchSizeAware
   kFilterGrained,  ///< kFilterGrained
 };
 

@@ -16,6 +16,10 @@
 // vector b/4. These transforms are what the DMA descriptors of
 // Algorithms 1 and 2 assume: they make the blocks each CPE fetches
 // contiguous and >= 256 B so the DMA engine runs near peak (Table II).
+// The mesh kernel of Algorithm 1 runs on the image-size-aware layout,
+// staged row range by row range (pack/unpack_image_size_aware_rows).
+
+#include <span>
 
 #include "src/tensor/tensor.h"
 
@@ -38,6 +42,20 @@ Tensor to_batch_size_aware(const Tensor& canonical);
 /// Inverse transforms (exact round-trips).
 Tensor from_image_size_aware(const Tensor& vectorized);
 Tensor from_batch_size_aware(const Tensor& vectorized);
+
+/// Packs rows [r_begin, r_end) of a canonical [R][C][N][B] tensor into
+/// `dst` in the image-size-aware layout over those rows:
+/// [B/4][N][r_end - r_begin][C][4]. B must be divisible by 4 and `dst`
+/// must hold exactly (r_end - r_begin) * C * N * B doubles. The mesh
+/// kernel of Algorithm 1 stages its input rows with this.
+void pack_image_size_aware_rows(const Tensor& canonical, std::int64_t r_begin,
+                                std::int64_t r_end, std::span<double> dst);
+
+/// The inverse: writes `src`, laid out [B/4][N][r_end - r_begin][C][4],
+/// into rows [r_begin, r_end) of the canonical tensor.
+void unpack_image_size_aware_rows(std::span<const double> src,
+                                  std::int64_t r_begin, std::int64_t r_end,
+                                  Tensor& canonical);
 
 /// The contiguous-block size in bytes that a single CPE's DMA request
 /// covers under each layout, given the blocking parameters. Used by the

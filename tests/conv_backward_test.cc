@@ -26,8 +26,8 @@ TEST(BackwardTransforms, ZeroPadPlacesGradientInTheMiddle) {
   tensor::Tensor g = make_output(s);
   g.at(0, 0, 0, 0) = 5.0;
   g.at(1, 1, 0, 0) = 7.0;
-  const tensor::Tensor padded = zero_pad_output_gradient(g, s);
-  EXPECT_EQ(padded.dims(), (std::vector<std::int64_t>{6, 6, 1, 1}));
+  tensor::Tensor padded({6, 6, 1, 1});
+  zero_pad_output_gradient(g, s, padded);
   EXPECT_EQ(padded.at(2, 2, 0, 0), 5.0);
   EXPECT_EQ(padded.at(3, 3, 0, 0), 7.0);
   EXPECT_EQ(padded.at(0, 0, 0, 0), 0.0);
@@ -37,8 +37,8 @@ TEST(BackwardTransforms, RotateFlipsSpatialAndSwapsChannels) {
   const ConvShape s = ConvShape::from_output(1, 2, 3, 2, 2, 2, 3);
   tensor::Tensor w = make_filter(s);
   w.at(0, 0, 1, 2) = 4.0;  // kr=0, kc=0, ni=1, no=2
-  const tensor::Tensor r = rotate_filter(w, s);
-  EXPECT_EQ(r.dims(), (std::vector<std::int64_t>{2, 3, 3, 2}));
+  tensor::Tensor r({2, 3, 3, 2});
+  rotate_filter(w, s, r);
   EXPECT_EQ(r.at(1, 2, 2, 1), 4.0);  // Kr-1-0=1, Kc-1-0=2, no=2, ni=1
 }
 

@@ -1,8 +1,7 @@
 // Functional correctness of Algorithms 1 and 2 on the mesh simulator:
 // every (shape, plan, mesh) combination must match the naive reference
 // bit-for-bit (all arithmetic is f64 adds/multiplies in a fixed order
-// per output, so exact equality is achievable and enforced with a tight
-// tolerance).
+// per output, so exact equality is achievable and enforced).
 
 #include <gtest/gtest.h>
 
@@ -46,25 +45,32 @@ Case make_case(int mesh, std::int64_t b, std::int64_t ni, std::int64_t no,
   return c;
 }
 
+void PrintTo(const Case& c, std::ostream* os) { *os << c.label; }
+
 std::vector<Case> all_cases() {
   using PK = perf::PlanKind;
   std::vector<Case> cases;
-  // 2x2 mesh: fast, covers tiling edge cases.
-  cases.push_back(make_case(2, 4, 2, 2, 3, 4, 2, PK::kImageSizeAware, 2, 2));
-  cases.push_back(make_case(2, 4, 4, 2, 4, 4, 3, PK::kImageSizeAware, 4, 4));
-  cases.push_back(make_case(2, 8, 2, 4, 2, 6, 1, PK::kImageSizeAware, 4, 3));
-  cases.push_back(make_case(2, 4, 4, 4, 5, 5, 3, PK::kImageSizeAware, 2, 5));
+  // 2x2 mesh: fast, covers tiling edge cases. The image plan's bB holds
+  // whole batch quads per CPE (a multiple of 4 x mesh).
+  cases.push_back(make_case(2, 8, 2, 2, 3, 4, 2, PK::kImageSizeAware, 8, 2));
+  cases.push_back(make_case(2, 16, 4, 2, 4, 4, 3, PK::kImageSizeAware, 8, 4));
+  cases.push_back(make_case(2, 8, 2, 4, 2, 6, 1, PK::kImageSizeAware, 8, 3));
+  cases.push_back(
+      make_case(2, 16, 4, 4, 5, 5, 3, PK::kImageSizeAware, 16, 5));
   cases.push_back(make_case(2, 4, 2, 2, 3, 4, 2, PK::kBatchSizeAware, 0, 2));
   cases.push_back(make_case(2, 6, 4, 2, 4, 4, 3, PK::kBatchSizeAware, 0, 4));
   cases.push_back(make_case(2, 8, 2, 4, 2, 6, 1, PK::kBatchSizeAware, 0, 3));
   cases.push_back(make_case(2, 4, 4, 4, 5, 5, 3, PK::kBatchSizeAware, 0, 1));
   // 4x4 mesh.
-  cases.push_back(make_case(4, 8, 4, 4, 3, 4, 2, PK::kImageSizeAware, 4, 2));
-  cases.push_back(make_case(4, 8, 8, 4, 2, 4, 3, PK::kImageSizeAware, 8, 4));
+  cases.push_back(
+      make_case(4, 16, 4, 4, 3, 4, 2, PK::kImageSizeAware, 16, 2));
+  cases.push_back(
+      make_case(4, 32, 8, 4, 2, 4, 3, PK::kImageSizeAware, 16, 4));
   cases.push_back(make_case(4, 8, 4, 8, 3, 4, 2, PK::kBatchSizeAware, 0, 2));
   cases.push_back(make_case(4, 12, 8, 4, 2, 3, 3, PK::kBatchSizeAware, 0, 3));
   // One full-size 8x8 mesh case per algorithm (small tiles).
-  cases.push_back(make_case(8, 8, 8, 8, 2, 2, 2, PK::kImageSizeAware, 8, 2));
+  cases.push_back(
+      make_case(8, 32, 8, 8, 2, 2, 2, PK::kImageSizeAware, 32, 2));
   cases.push_back(make_case(8, 8, 8, 8, 2, 2, 2, PK::kBatchSizeAware, 0, 2));
   return cases;
 }
@@ -94,7 +100,7 @@ TEST_P(LdmBlockedConv, MatchesReference) {
     stats = run_batch_size_aware(exec, input, filter, actual, c.shape,
                                  c.plan);
   }
-  EXPECT_LE(expected.max_abs_diff(actual), 1e-12) << c.shape.to_string();
+  EXPECT_EQ(expected.max_abs_diff(actual), 0.0) << c.shape.to_string();
 
   // Every FMA of the convolution ran on some CPE.
   EXPECT_EQ(stats.total_flops, static_cast<std::uint64_t>(c.shape.flops()));
@@ -110,15 +116,17 @@ TEST_P(LdmBlockedConv, MatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LdmBlockedConv, ::testing::ValuesIn(all_cases()),
-    [](const ::testing::TestParamInfo<Case>& info) { return info.param.label; });
+    [](const ::testing::TestParamInfo<Case>& info) {
+      return info.param.label;
+    });
 
 TEST(LdmBlockedConv, RowPartitionsComposeToFullImage) {
   // Computing [0, r) and [r, Ro) separately must equal the full run —
   // the property the 4-CG split relies on.
-  const ConvShape shape = ConvShape::from_output(4, 4, 4, 6, 4, 3, 3);
+  const ConvShape shape = ConvShape::from_output(8, 4, 4, 6, 4, 3, 3);
   perf::ConvPlan plan;
   plan.kind = perf::PlanKind::kImageSizeAware;
-  plan.block_b = 2;
+  plan.block_b = 8;
   plan.block_co = 2;
   util::Rng rng(7);
   tensor::Tensor input = make_input(shape);
@@ -133,7 +141,18 @@ TEST(LdmBlockedConv, RowPartitionsComposeToFullImage) {
   sim::MeshExecutor exec(mesh_spec(2));
   run_image_size_aware(exec, input, filter, actual, shape, plan, 0, 2);
   run_image_size_aware(exec, input, filter, actual, shape, plan, 2, 6);
-  EXPECT_LE(expected.max_abs_diff(actual), 1e-12);
+  EXPECT_EQ(expected.max_abs_diff(actual), 0.0);
+}
+
+TEST(LdmBlockedConv, RejectsBatchTileOfPartialQuads) {
+  // bB = 2 x mesh divides by the mesh but leaves each CPE half a
+  // 256-bit batch quad of the Section V-C layout.
+  const ConvShape shape = ConvShape::from_output(8, 4, 4, 4, 4, 3, 3);
+  perf::ConvPlan plan;
+  plan.kind = perf::PlanKind::kImageSizeAware;
+  plan.block_b = 4;
+  plan.block_co = 2;
+  EXPECT_THROW(check_mesh_compatibility(shape, plan, 2), MeshMappingError);
 }
 
 TEST(LdmBlockedConv, RejectsIndivisibleChannels) {
@@ -147,19 +166,11 @@ TEST(LdmBlockedConv, RejectsIndivisibleChannels) {
 }
 
 TEST(LdmBlockedConv, RejectsIndivisibleBatchTile) {
-  const ConvShape shape = ConvShape::from_output(6, 4, 4, 4, 4, 3, 3);
+  const ConvShape shape = ConvShape::from_output(12, 4, 4, 4, 4, 3, 3);
   perf::ConvPlan plan;
   plan.kind = perf::PlanKind::kImageSizeAware;
-  plan.block_b = 4;  // 6 % 4 != 0
+  plan.block_b = 8;  // 12 % 8 != 0
   plan.block_co = 2;
-  EXPECT_THROW(check_mesh_compatibility(shape, plan, 2),
-               std::invalid_argument);
-}
-
-TEST(LdmBlockedConv, RejectsDirectPlan) {
-  const ConvShape shape = ConvShape::from_output(4, 4, 4, 4, 4, 3, 3);
-  perf::ConvPlan plan;
-  plan.kind = perf::PlanKind::kDirect;
   EXPECT_THROW(check_mesh_compatibility(shape, plan, 2),
                std::invalid_argument);
 }

@@ -218,8 +218,6 @@ TEST(Multigrain, MeasuredTournamentShrinksWhenAFamilyCannotMap) {
 TEST(Multigrain, PlanFamiliesPartitionTheKinds) {
   using perf::PlanFamily;
   using perf::PlanKind;
-  EXPECT_EQ(perf::plan_kind_family(PlanKind::kDirect),
-            PlanFamily::kIncumbent);
   EXPECT_EQ(perf::plan_kind_family(PlanKind::kImageSizeAware),
             PlanFamily::kIncumbent);
   EXPECT_EQ(perf::plan_kind_family(PlanKind::kBatchSizeAware),

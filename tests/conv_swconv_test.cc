@@ -1,5 +1,5 @@
 // The public SwConvolution facade: plan selection, functional forward on
-// the mesh, multi-CG partitioning, and the level-2 cycle accounting.
+// the mesh, multi-CG partitioning, and the model estimate.
 
 #include <gtest/gtest.h>
 
@@ -167,39 +167,6 @@ TEST(SwConv, PlanForRequiresExecutabilityWhenAsked) {
   const auto choice = sw.plan_for(paper_shape(128, 128), true);
   EXPECT_NO_THROW(
       check_mesh_compatibility(paper_shape(128, 128), choice.plan, 8));
-}
-
-TEST(SwConv, CycleAccountedSitsBelowClosedFormModel) {
-  // Level 2 includes overheads level 3 ignores: meas < mdl, but within
-  // ~25% (Table III's gap is 3-6%; ours is looser but must be sane).
-  SwConvolution sw;
-  for (auto [ni, no] : {std::pair{128, 128}, {256, 256}, {128, 384}}) {
-    const auto choice = sw.plan_for(paper_shape(ni, no));
-    const double mdl = choice.estimate.gflops_per_cg;
-    const double meas =
-        sw.cycle_accounted_gflops_per_cg(paper_shape(ni, no), choice.plan);
-    EXPECT_LT(meas, mdl) << ni << "x" << no;
-    EXPECT_GT(meas, 0.6 * mdl) << ni << "x" << no;
-  }
-}
-
-TEST(SwConv, CycleAccountedChipIsNearFourCgs) {
-  SwConvolution sw;
-  const auto shape = paper_shape(256, 256);
-  const auto plan = sw.plan_for(shape).plan;
-  const double cg = sw.cycle_accounted_gflops_per_cg(shape, plan);
-  const double chip = sw.cycle_accounted_gflops_chip(shape, plan);
-  EXPECT_GT(chip, 3.5 * cg);
-  EXPECT_LE(chip, 4.0 * cg + 1e-9);
-}
-
-TEST(SwConv, DirectPlanCycleAccountingFallsBackToModel) {
-  SwConvolution sw;
-  perf::ConvPlan direct;
-  direct.kind = perf::PlanKind::kDirect;
-  const double g =
-      sw.cycle_accounted_gflops_per_cg(paper_shape(128, 128), direct);
-  EXPECT_LT(g, 3.0);  // the 0.33%-of-peak strawman
 }
 
 TEST(SwConv, EstimateUsesBestPlan) {

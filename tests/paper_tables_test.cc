@@ -1,10 +1,12 @@
 // End-to-end checks against the paper's published evaluation:
-// Table III (model vs measured on one CG), the Figure 7 envelope
+// Table III (model vs a simulated core group), the Figure 7 envelope
 // (speedup range, swDNN stability), the Figure 9 trend (filter-size
-// robustness), and the headline claims (>1.6 Tflops, >50% of peak,
-// near-linear 4-CG scaling). Absolute tolerances are documented in
+// robustness), and the headline claims (>1.6 Tflops, >50% of peak).
+// The Figure 7/9 swDNN series are the closed-form model of each shape's
+// chosen plan on the 4-CG chip. Absolute tolerances are documented in
 // EXPERIMENTS.md; the asserts here pin the *shape* of every result so a
-// regression in any model component trips a test.
+// regression in any model component trips a test. Multi-CG scaling is
+// measured on the simulator in conv_swconv_test.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/conv/reference.h"
 #include "src/conv/swconv.h"
 #include "src/perf/k40m.h"
 
@@ -88,18 +91,36 @@ TEST_P(Table3, ModelWithinBandOfPaper) {
   EXPECT_LT(e.gflops_per_cg, 1.5 * row.paper_mdl);
 }
 
-TEST_P(Table3, MeasProxySitsJustBelowModelLikePaper) {
+// Table III's `meas`, simulated: GFLOP/s per CG of each row's plan on
+// one core group over a B=128, one-row, 16-column slice of the paper
+// shape (VectorizedConv.SliceCountsScaleToTheWholeLaunch ties a slice's
+// counts to the whole launch's). Recorded from this simulator; the
+// paper's silicon measured 350/375/410/392.
+constexpr double kSimulatedMeas[] = {571.2, 605.3, 535.9, 553.1};
+
+TEST_P(Table3, SimulatedMeasMatchesRecordAndBoundsModel) {
   const Table3Row& row = kTable3[GetParam()];
-  conv::SwConvolution sw;
-  const auto shape = paper_shape(row.ni, row.no);
   const auto plan = plan_for_row(row);
-  const double mdl =
-      sw.chooser().model().estimate(shape, plan).gflops_per_cg;
-  const double meas = sw.cycle_accounted_gflops_per_cg(shape, plan);
-  const double ratio = meas / mdl;
-  // Paper: meas/mdl = 0.95, 0.94, 0.97, 0.96.
-  EXPECT_GT(ratio, 0.85);
-  EXPECT_LT(ratio, 1.0);
+  // Every count of a launch follows from shape and plan alone, so the
+  // slice runs on zero tensors.
+  const auto slice =
+      conv::ConvShape::from_output(128, row.ni, row.no, 1, 16, 3, 3);
+  const tensor::Tensor input = conv::make_input(slice);
+  const tensor::Tensor filter = conv::make_filter(slice);
+  tensor::Tensor output = conv::make_output(slice);
+  conv::SwConvolution sw;
+  const double sim = sw.forward(input, filter, output, slice, plan)
+                         .stats.modeled_gflops(plan.double_buffer);
+  const double recorded = kSimulatedMeas[GetParam()];
+  EXPECT_NEAR(sim, recorded, 0.02 * recorded);
+  // The simulator's clock never waits on a barrier, a bus or the DMA
+  // engine, so it reads above the model; bound how far.
+  const double mdl = sw.chooser()
+                         .model()
+                         .estimate(paper_shape(row.ni, row.no), plan)
+                         .gflops_per_cg;
+  EXPECT_GE(mdl / sim, 0.6);
+  EXPECT_LE(mdl / sim, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Rows, Table3, ::testing::Values(0, 1, 2, 3));
@@ -133,7 +154,7 @@ TEST(Fig7, SpeedupRangeMatchesPaperEnvelope) {
   double lo = 1e30, hi = 0;
   for (const auto& shape : fig7_grid()) {
     const auto choice = sw.plan_for(shape);
-    const double ours = sw.cycle_accounted_gflops_chip(shape, choice.plan);
+    const double ours = choice.estimate.gflops_chip;
     const double sp = ours / k40.conv_gflops(shape);
     lo = std::min(lo, sp);
     hi = std::max(hi, sp);
@@ -149,8 +170,7 @@ TEST(Fig7, SwdnnWinsEverywhere) {
   perf::K40mCudnnModel k40;
   for (const auto& shape : fig7_grid()) {
     const auto choice = sw.plan_for(shape);
-    EXPECT_GT(sw.cycle_accounted_gflops_chip(shape, choice.plan),
-              k40.conv_gflops(shape))
+    EXPECT_GT(choice.estimate.gflops_chip, k40.conv_gflops(shape))
         << shape.to_string();
   }
 }
@@ -163,9 +183,7 @@ TEST(Fig7, SwdnnAbove1TflopsForMostConfigs) {
   int above = 0, total = 0;
   for (const auto& shape : fig7_grid()) {
     const auto choice = sw.plan_for(shape);
-    if (sw.cycle_accounted_gflops_chip(shape, choice.plan) > 1400.0) {
-      ++above;
-    }
+    if (choice.estimate.gflops_chip > 1400.0) ++above;
     ++total;
   }
   EXPECT_GE(above * 10, total * 7);
@@ -180,8 +198,7 @@ TEST(Fig7, SwdnnIsMoreStableThanCudnn) {
   std::vector<double> ours, theirs;
   for (const auto& shape : fig7_grid()) {
     if (shape.ni < 96) continue;  // drop the small-channel warmup tail
-    ours.push_back(
-        sw.cycle_accounted_gflops_chip(shape, sw.plan_for(shape).plan));
+    ours.push_back(sw.estimate(shape).gflops_chip);
     theirs.push_back(k40.conv_gflops(shape));
   }
   auto cv = [](const std::vector<double>& v) {
@@ -204,8 +221,7 @@ TEST(Fig7, EfficiencyExceedsHalfOfPeakAtTableConfigs) {
   for (auto ch : {256L, 320L, 384L}) {
     const auto shape = paper_shape(ch, ch);
     const double eff =
-        sw.cycle_accounted_gflops_chip(shape, sw.plan_for(shape).plan) /
-        spec.peak_gflops_per_chip();
+        sw.estimate(shape).gflops_chip / spec.peak_gflops_per_chip();
     if (eff > 0.50) ++hits;
     EXPECT_GT(eff, 0.40);
   }
@@ -221,8 +237,7 @@ TEST(Fig9, SpeedupGrowsWithFilterSize) {
   for (std::int64_t k : {3, 9, 15, 21}) {
     const auto shape = paper_shape(256, 256, k);
     const double sp =
-        sw.cycle_accounted_gflops_chip(shape, sw.plan_for(shape).plan) /
-        k40.conv_gflops(shape);
+        sw.estimate(shape).gflops_chip / k40.conv_gflops(shape);
     EXPECT_GT(sp, prev) << "k=" << k;
     prev = sp;
   }
@@ -236,8 +251,7 @@ TEST(Fig9, SwdnnHoldsThroughputAcrossFilterSizes) {
   double lo = 1e30, hi = 0;
   for (std::int64_t k = 3; k <= 21; k += 2) {
     const auto shape = paper_shape(256, 256, k);
-    const double g =
-        sw.cycle_accounted_gflops_chip(shape, sw.plan_for(shape).plan);
+    const double g = sw.estimate(shape).gflops_chip;
     lo = std::min(lo, g);
     hi = std::max(hi, g);
   }
@@ -245,20 +259,11 @@ TEST(Fig9, SwdnnHoldsThroughputAcrossFilterSizes) {
   EXPECT_GT(lo, 1400.0);
 }
 
-// --- Headline / scaling ---------------------------------------------------
+// --- Headline ---------------------------------------------------------
 
 TEST(Headline, DirectGloadMatchesFig2Strawman) {
   perf::PerformanceModel model;
   EXPECT_NEAR(model.direct_gload_gflops_per_cg() / 742.4, 0.0033, 3e-4);
-}
-
-TEST(Headline, FourCgScalingIsNearLinear) {
-  conv::SwConvolution sw;
-  const auto shape = paper_shape(256, 256);
-  const auto plan = sw.plan_for(shape).plan;
-  const double cg = sw.cycle_accounted_gflops_per_cg(shape, plan);
-  const double chip = sw.cycle_accounted_gflops_chip(shape, plan);
-  EXPECT_GT(chip / cg, 3.8);
 }
 
 }  // namespace

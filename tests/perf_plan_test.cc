@@ -11,7 +11,6 @@ conv::ConvShape paper_shape(std::int64_t ni, std::int64_t no,
 }
 
 TEST(Plan, KindNames) {
-  EXPECT_STREQ(plan_kind_name(PlanKind::kDirect), "direct");
   EXPECT_STREQ(plan_kind_name(PlanKind::kImageSizeAware), "img");
   EXPECT_STREQ(plan_kind_name(PlanKind::kBatchSizeAware), "batch");
 }
@@ -24,14 +23,6 @@ TEST(Plan, ToStringIncludesBlocking) {
   EXPECT_EQ(p.to_string(), "img(bB=32,bCo=16)");
   p.use_register_comm = false;
   EXPECT_NE(p.to_string().find("noregcomm"), std::string::npos);
-}
-
-TEST(Plan, DirectPlanNeedsNoLdm) {
-  ConvPlan p;
-  p.kind = PlanKind::kDirect;
-  EXPECT_EQ(ldm_bytes_required(paper_shape(128, 128), p,
-                               arch::default_spec()),
-            0);
 }
 
 TEST(Plan, Table3Row1FootprintFitsLdm) {

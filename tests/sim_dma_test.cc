@@ -68,6 +68,24 @@ TEST(DmaTable, MisalignmentPenaltyShrinksWithBlockSize) {
   EXPECT_LT(ratio(96), ratio(2000));
 }
 
+TEST(DmaTable, LookupEqualsInterpolationBitwise) {
+  // The per-request lookup must charge exactly what the curve says.
+  const auto& t = perf::dma_table();
+  for (DmaDirection dir : {DmaDirection::kGet, DmaDirection::kPut}) {
+    for (bool aligned : {false, true}) {
+      for (std::int64_t b = 1; b <= 4096; ++b) {
+        ASSERT_EQ(t.bandwidth_gbs(b, dir, aligned),
+                  t.interpolated_gbs(b, dir, aligned))
+            << b << " B, " << (dir == DmaDirection::kGet ? "get" : "put")
+            << (aligned ? ", aligned" : ", misaligned");
+      }
+    }
+  }
+  // Past the table both compute the curve.
+  EXPECT_EQ(t.bandwidth_gbs(5000, DmaDirection::kGet, false),
+            t.interpolated_gbs(5000, DmaDirection::kGet, false));
+}
+
 TEST(DmaTable, PeakMatchesPaperHeadline) {
   // "effective bandwidth for DMA load and store ranges from 4 GB/s to
   // 36 GB/s."
