@@ -1,5 +1,6 @@
 #include "src/conv/backward.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace swdnn::conv {
@@ -8,21 +9,32 @@ void zero_pad_output_gradient(const tensor::Tensor& d_output,
                               const ConvShape& shape, tensor::Tensor& padded) {
   const std::int64_t pr = shape.kr - 1;
   const std::int64_t pc = shape.kc - 1;
-  for (std::int64_t r = 0; r < shape.ro(); ++r)
-    for (std::int64_t c = 0; c < shape.co(); ++c)
-      for (std::int64_t no = 0; no < shape.no; ++no)
-        for (std::int64_t b = 0; b < shape.batch; ++b)
-          padded.at(r + pr, c + pc, no, b) = d_output.at(r, c, no, b);
+  // One output row's (co, no, b) block is one contiguous run on both
+  // sides: copy it whole into the interior of the padded row.
+  const std::int64_t pixel = shape.no * shape.batch;
+  const std::int64_t row = shape.co() * pixel;
+  const std::int64_t padded_row = (shape.co() + 2 * pc) * pixel;
+  const double* src = d_output.data().data();
+  double* dst = padded.data().data();
+  for (std::int64_t r = 0; r < shape.ro(); ++r) {
+    std::copy_n(src + r * row, row, dst + (r + pr) * padded_row + pc * pixel);
+  }
 }
 
 void rotate_filter(const tensor::Tensor& filter, const ConvShape& shape,
                    tensor::Tensor& rotated) {
+  const std::int64_t tap = shape.ni * shape.no;
+  const double* w = filter.data().data();
+  double* rot = rotated.data().data();
   for (std::int64_t kr = 0; kr < shape.kr; ++kr)
-    for (std::int64_t kc = 0; kc < shape.kc; ++kc)
+    for (std::int64_t kc = 0; kc < shape.kc; ++kc) {
+      const double* src =
+          w + ((shape.kr - 1 - kr) * shape.kc + shape.kc - 1 - kc) * tap;
+      double* dst = rot + (kr * shape.kc + kc) * tap;
       for (std::int64_t ni = 0; ni < shape.ni; ++ni)
         for (std::int64_t no = 0; no < shape.no; ++no)
-          rotated.at(kr, kc, no, ni) =
-              filter.at(shape.kr - 1 - kr, shape.kc - 1 - kc, ni, no);
+          dst[no * shape.ni + ni] = src[ni * shape.no + no];
+    }
 }
 
 ConvShape backward_data_shape(const ConvShape& shape) {
@@ -76,48 +88,50 @@ sim::LaunchStats mesh_backward_filter(sim::MeshExecutor& exec,
                                       const tensor::Tensor& d_output,
                                       tensor::Tensor& d_filter,
                                       const ConvShape& shape) {
-  const std::int64_t s_len = shape.ro() * shape.co() * shape.batch;
-  // dOut as a [S][No] matrix (s = (ro, co, b) row-major). Materialized
-  // once; the same matrix serves every filter tap.
-  std::vector<double> dout_mat(
-      static_cast<std::size_t>(s_len * shape.no));
-  for (std::int64_t ro = 0; ro < shape.ro(); ++ro)
-    for (std::int64_t co = 0; co < shape.co(); ++co)
-      for (std::int64_t b = 0; b < shape.batch; ++b) {
-        const std::int64_t s = (ro * shape.co() + co) * shape.batch + b;
-        for (std::int64_t no = 0; no < shape.no; ++no) {
-          dout_mat[static_cast<std::size_t>(s * shape.no + no)] =
-              d_output.at(ro, co, no, b);
-        }
-      }
+  const std::int64_t batch = shape.batch;
+  const std::int64_t s_len = shape.ro() * shape.co() * batch;
+  // dOut as a [S][No] matrix (s = (ro, co, b) row-major): each pixel's
+  // [No][B] block transposed. Materialized once; the same matrix serves
+  // every filter tap.
+  std::vector<double> dout_mat(static_cast<std::size_t>(s_len * shape.no));
+  const double* dy = d_output.data().data();
+  for (std::int64_t p = 0; p < shape.ro() * shape.co(); ++p) {
+    const double* src = dy + p * shape.no * batch;
+    double* dst = dout_mat.data() + p * batch * shape.no;
+    for (std::int64_t b = 0; b < batch; ++b)
+      for (std::int64_t no = 0; no < shape.no; ++no)
+        dst[b * shape.no + no] = src[no * batch + b];
+  }
 
   sim::LaunchStats total;
   std::vector<double> in_mat(static_cast<std::size_t>(s_len * shape.ni));
   std::vector<double> dw_slice(
       static_cast<std::size_t>(shape.ni * shape.no));
+  const double* in = input.data().data();
+  double* dw = d_filter.data().data();
   for (std::int64_t kr = 0; kr < shape.kr; ++kr) {
     for (std::int64_t kc = 0; kc < shape.kc; ++kc) {
-      // In_shift as [S][Ni]: the input pixels this tap touches.
+      // In_shift as [S][Ni]: the input pixels this tap touches, each
+      // pixel's [Ni][B] block transposed.
       for (std::int64_t ro = 0; ro < shape.ro(); ++ro)
-        for (std::int64_t co = 0; co < shape.co(); ++co)
-          for (std::int64_t b = 0; b < shape.batch; ++b) {
-            const std::int64_t s =
-                (ro * shape.co() + co) * shape.batch + b;
-            for (std::int64_t ni = 0; ni < shape.ni; ++ni) {
-              in_mat[static_cast<std::size_t>(s * shape.ni + ni)] =
-                  input.at(ro * shape.stride_r + kr,
-                           co * shape.stride_c + kc, ni, b);
-            }
-          }
+        for (std::int64_t co = 0; co < shape.co(); ++co) {
+          const double* src =
+              in + ((ro * shape.stride_r + kr) * shape.ci +
+                    co * shape.stride_c + kc) *
+                       shape.ni * batch;
+          double* dst =
+              in_mat.data() + (ro * shape.co() + co) * batch * shape.ni;
+          for (std::int64_t b = 0; b < batch; ++b)
+            for (std::int64_t ni = 0; ni < shape.ni; ++ni)
+              dst[b * shape.ni + ni] = src[ni * batch + b];
+        }
       // dW(kr,kc)[ni][no] = sum_s in_mat[s][ni] * dout_mat[s][no]: the
       // driver's a=[k][m], b=[k][n] convention with k = S.
       const sim::LaunchStats stats =
           mesh_gemm(exec, in_mat, dout_mat, dw_slice, shape.ni, s_len,
                     shape.no);
-      for (std::int64_t ni = 0; ni < shape.ni; ++ni)
-        for (std::int64_t no = 0; no < shape.no; ++no)
-          d_filter.at(kr, kc, ni, no) =
-              dw_slice[static_cast<std::size_t>(ni * shape.no + no)];
+      std::copy(dw_slice.begin(), dw_slice.end(),
+                dw + (kr * shape.kc + kc) * shape.ni * shape.no);
 
       total.accumulate(stats);
     }

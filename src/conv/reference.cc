@@ -46,37 +46,55 @@ void reference_backward_data(const tensor::Tensor& d_output,
                              const tensor::Tensor& filter,
                              tensor::Tensor& d_input, const ConvShape& s) {
   d_input.zero();
+  // Raw indexing, in the loop order of reference_forward.
+  const double* dy = d_output.data().data();
+  const double* wt = filter.data().data();
+  double* dx = d_input.data().data();
   for (std::int64_t ro = 0; ro < s.ro(); ++ro)
     for (std::int64_t co = 0; co < s.co(); ++co)
       for (std::int64_t kr = 0; kr < s.kr; ++kr)
         for (std::int64_t kc = 0; kc < s.kc; ++kc)
-          for (std::int64_t ni = 0; ni < s.ni; ++ni)
+          for (std::int64_t ni = 0; ni < s.ni; ++ni) {
+            double* x =
+                dx + (((ro * s.stride_r + kr) * s.ci + co * s.stride_c + kc) *
+                          s.ni +
+                      ni) *
+                         s.batch;
             for (std::int64_t no = 0; no < s.no; ++no) {
-              const double w = filter.at(kr, kc, ni, no);
-              for (std::int64_t b = 0; b < s.batch; ++b) {
-                d_input.at(ro * s.stride_r + kr, co * s.stride_c + kc, ni, b) +=
-                    d_output.at(ro, co, no, b) * w;
-              }
+              const double w = wt[((kr * s.kc + kc) * s.ni + ni) * s.no + no];
+              const double* y =
+                  dy + ((ro * s.co() + co) * s.no + no) * s.batch;
+              for (std::int64_t b = 0; b < s.batch; ++b) x[b] += y[b] * w;
             }
+          }
 }
 
 void reference_backward_filter(const tensor::Tensor& input,
                                const tensor::Tensor& d_output,
                                tensor::Tensor& d_filter, const ConvShape& s) {
   d_filter.zero();
+  // Raw indexing, in the loop order of reference_forward.
+  const double* in = input.data().data();
+  const double* dy = d_output.data().data();
+  double* dw = d_filter.data().data();
   for (std::int64_t ro = 0; ro < s.ro(); ++ro)
     for (std::int64_t co = 0; co < s.co(); ++co)
       for (std::int64_t kr = 0; kr < s.kr; ++kr)
         for (std::int64_t kc = 0; kc < s.kc; ++kc)
-          for (std::int64_t ni = 0; ni < s.ni; ++ni)
+          for (std::int64_t ni = 0; ni < s.ni; ++ni) {
+            const double* x =
+                in + (((ro * s.stride_r + kr) * s.ci + co * s.stride_c + kc) *
+                          s.ni +
+                      ni) *
+                         s.batch;
             for (std::int64_t no = 0; no < s.no; ++no) {
+              const double* y =
+                  dy + ((ro * s.co() + co) * s.no + no) * s.batch;
               double acc = 0;
-              for (std::int64_t b = 0; b < s.batch; ++b) {
-                acc += input.at(ro * s.stride_r + kr, co * s.stride_c + kc, ni, b) *
-                       d_output.at(ro, co, no, b);
-              }
-              d_filter.at(kr, kc, ni, no) += acc;
+              for (std::int64_t b = 0; b < s.batch; ++b) acc += x[b] * y[b];
+              dw[((kr * s.kc + kc) * s.ni + ni) * s.no + no] += acc;
             }
+          }
 }
 
 }  // namespace swdnn::conv

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <exception>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace swdnn::sim {
@@ -16,14 +17,29 @@ CpeContext::CpeContext(MeshExecutor& exec, CpeMesh& mesh, DmaEngine& dma,
     : exec_(exec), mesh_(mesh), dma_(dma), row_(row), col_(col) {}
 
 namespace {
+void record_event(EventTracer& tracer, const CpeCell& cell, int cpe,
+                  const char* category, std::string name,
+                  std::uint64_t duration_cycles) {
+  const std::uint64_t now = cell.compute_cycles;
+  tracer.record(cpe, category, std::move(name), now, now + duration_cycles);
+}
+
 // Trace helper: logical timeline = the CPE's compute-cycle counter.
-void trace_event(MeshExecutor& exec, CpeCell& cell, int cpe,
-                 const char* category, std::string name,
-                 std::uint64_t duration_cycles) {
-  if (EventTracer* tracer = exec.tracer()) {
-    const std::uint64_t now = cell.compute_cycles;
-    tracer->record(cpe, category, std::move(name), now,
-                   now + duration_cycles);
+// `name` is a string or a callable that builds one, called only when a
+// tracer is attached, so an untraced launch formats no names. Inlined,
+// so that an untraced event costs one test of the tracer pointer.
+template <typename Name>
+[[gnu::always_inline]] inline void trace_event(MeshExecutor& exec,
+                                               CpeCell& cell, int cpe,
+                                               const char* category,
+                                               const Name& name,
+                                               std::uint64_t duration_cycles) {
+  EventTracer* tracer = exec.tracer();
+  if (tracer == nullptr) return;
+  if constexpr (std::is_invocable_v<const Name&>) {
+    record_event(*tracer, cell, cpe, category, name(), duration_cycles);
+  } else {
+    record_event(*tracer, cell, cpe, category, name, duration_cycles);
   }
 }
 }  // namespace
@@ -65,8 +81,9 @@ bool CpeContext::dma_attempt(std::uint64_t bytes, std::int64_t block_bytes,
   const int max_attempts = rp.max_attempts < 1 ? 1 : rp.max_attempts;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (!fi->poll_dma_fault(id())) return true;
-    trace_event(exec_, cell(), id(), "fault",
-                "dma fault (attempt " + std::to_string(attempt) + ")", 1);
+    trace_event(exec_, cell(), id(), "fault", [attempt] {
+      return "dma fault (attempt " + std::to_string(attempt) + ")";
+    }, 1);
     if (attempt == max_attempts) break;
     // Retry the tile: back off, then re-occupy the engine for the
     // repeated transfer.
@@ -97,7 +114,7 @@ void CpeContext::dma_get(std::span<const double> src, std::span<double> dst) {
   const std::uint64_t cost =
       record_dma(src.size_bytes(), bytes, perf::DmaDirection::kGet, aligned);
   trace_event(exec_, cell(), id(), "dma",
-              "get " + std::to_string(bytes) + "B", cost);
+              [bytes] { return "get " + std::to_string(bytes) + "B"; }, cost);
   if (!dma_attempt(src.size_bytes(), bytes, perf::DmaDirection::kGet,
                    aligned)) {
     return;
@@ -111,7 +128,7 @@ void CpeContext::dma_put(std::span<const double> src, std::span<double> dst) {
   const std::uint64_t cost =
       record_dma(src.size_bytes(), bytes, perf::DmaDirection::kPut, aligned);
   trace_event(exec_, cell(), id(), "dma",
-              "put " + std::to_string(bytes) + "B", cost);
+              [bytes] { return "put " + std::to_string(bytes) + "B"; }, cost);
   if (!dma_attempt(src.size_bytes(), bytes, perf::DmaDirection::kPut,
                    aligned)) {
     return;
@@ -128,10 +145,10 @@ void CpeContext::dma_get_strided(const double* src_base, std::int64_t nblocks,
   const std::uint64_t cost = record_dma(
       static_cast<std::uint64_t>(nblocks * block_bytes), block_bytes,
       perf::DmaDirection::kGet, aligned);
-  trace_event(exec_, cell(), id(), "dma",
-              "get-strided " + std::to_string(nblocks) + "x" +
-                  std::to_string(block_bytes) + "B",
-              cost);
+  trace_event(exec_, cell(), id(), "dma", [nblocks, block_bytes] {
+    return "get-strided " + std::to_string(nblocks) + "x" +
+           std::to_string(block_bytes) + "B";
+  }, cost);
   if (!dma_attempt(static_cast<std::uint64_t>(nblocks * block_bytes),
                    block_bytes, perf::DmaDirection::kGet, aligned)) {
     return;
@@ -151,10 +168,10 @@ void CpeContext::dma_put_strided(std::span<const double> src, double* dst_base,
   const std::uint64_t cost = record_dma(
       static_cast<std::uint64_t>(nblocks * block_bytes), block_bytes,
       perf::DmaDirection::kPut, aligned);
-  trace_event(exec_, cell(), id(), "dma",
-              "put-strided " + std::to_string(nblocks) + "x" +
-                  std::to_string(block_bytes) + "B",
-              cost);
+  trace_event(exec_, cell(), id(), "dma", [nblocks, block_bytes] {
+    return "put-strided " + std::to_string(nblocks) + "x" +
+           std::to_string(block_bytes) + "B";
+  }, cost);
   if (!dma_attempt(static_cast<std::uint64_t>(nblocks * block_bytes),
                    block_bytes, perf::DmaDirection::kPut, aligned)) {
     return;
@@ -169,8 +186,9 @@ void CpeContext::dma_put_strided(std::span<const double> src, double* dst_base,
 void CpeContext::maybe_stall_bus() {
   if (FaultInjector* fi = exec_.fault_injector()) {
     if (const std::uint64_t stall = fi->poll_regcomm_stall(id())) {
-      trace_event(exec_, cell(), id(), "fault",
-                  "bus stall " + std::to_string(stall) + " cycles", stall);
+      trace_event(exec_, cell(), id(), "fault", [stall] {
+        return "bus stall " + std::to_string(stall) + " cycles";
+      }, stall);
       charge_cycles(stall);
     }
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "src/conv/gemm.h"
@@ -25,6 +26,12 @@ struct GemmDims {
   std::int64_t m, n, k;
 };
 
+// Without a printer gtest dumps the raw bytes into the discovered test
+// names.
+void PrintTo(const GemmDims& d, std::ostream* os) {
+  *os << "m" << d.m << "n" << d.n << "k" << d.k;
+}
+
 class BlockedVsNaive : public ::testing::TestWithParam<GemmDims> {};
 
 TEST_P(BlockedVsNaive, Match) {
@@ -49,8 +56,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmDims{16, 16, 16}, GemmDims{17, 33, 9},
                       GemmDims{64, 8, 40}, GemmDims{20, 100, 3}),
     [](const ::testing::TestParamInfo<GemmDims>& info) {
-      return "m" + std::to_string(info.param.m) + "n" +
-             std::to_string(info.param.n) + "k" + std::to_string(info.param.k);
+      return ::testing::PrintToString(info.param);
     });
 
 TEST(Gemm, NonPositiveTileIsClampedInsteadOfHanging) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -35,6 +36,12 @@ arch::Sw26010Spec small_spec(int dim) {
 struct GemmCase {
   std::int64_t m, k, n;
 };
+
+// Without a printer gtest dumps the raw bytes into the discovered test
+// names.
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << "m" << c.m << "k" << c.k << "n" << c.n;
+}
 
 struct PathResult {
   std::vector<double> out;
@@ -127,7 +134,10 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{13, 29, 11},   // ragged everywhere
                       GemmCase{5, 7, 3},      // tiles smaller than a block
                       GemmCase{17, 8, 23},    // mixed full blocks + tails
-                      GemmCase{1, 64, 1}));   // degenerate rank-1 output
+                      GemmCase{1, 64, 1}),    // degenerate rank-1 output
+    [](const ::testing::TestParamInfo<GemmCase>& info) {
+      return ::testing::PrintToString(info.param);
+    });
 
 TEST(BulkRegcommEquivalenceTest, FibersAloneChangeNothing) {
   // Isolate the host-strategy variable: same bus path, fibers vs
@@ -223,6 +233,79 @@ TEST(BulkRegcommEquivalenceTest, LocalKernelsBitwiseIdenticalStandalone) {
   });
   EXPECT_EQ(0, std::memcmp(out_blocked.data(), out_ref.data(),
                            out_ref.size() * sizeof(double)));
+}
+
+// Every instantiation of the register tile against the naive oracle,
+// over tile shapes that take each of its paths: m below, at and past the
+// 4-row block with every remainder, k from a single term up, and n
+// through the two-vector blocks, the one-vector block and the scalar
+// columns of both vector widths. `out` starts nonzero, and every operand
+// holds signed zeros, so a kernel that started an accumulator at +0 or
+// rounded a multiply-add once would differ in some bit.
+struct IsaCase {
+  conv::LocalGemmIsa isa;
+  const char* label;
+};
+
+void PrintTo(const IsaCase& c, std::ostream* os) { *os << c.label; }
+
+class LocalGemmTile : public ::testing::TestWithParam<IsaCase> {};
+
+void seed_with_signed_zeros(std::vector<double>& v, util::Rng& rng,
+                            std::size_t period) {
+  rng.fill_normal(v, 0.0, 1.0);
+  for (std::size_t i = 0; i < v.size(); i += period) v[i] = -0.0;
+  for (std::size_t i = 1; i < v.size(); i += period) v[i] = 0.0;
+}
+
+TEST_P(LocalGemmTile, SweepIsBitwiseTheReference) {
+  const conv::LocalGemmIsa isa = GetParam().isa;
+  if (!conv::local_gemm_isa_supported(isa)) {
+    GTEST_SKIP() << "this CPU does not support AVX2";
+  }
+  sim::MeshExecutor exec(small_spec(1));
+  util::Rng rng(29);
+  for (int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13}) {
+    for (int k : {1, 3, 8, 17}) {
+      for (int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33, 100}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m" << m << "k" << k << "n" << n);
+        std::vector<double> w(static_cast<std::size_t>(k * m));
+        std::vector<double> di(static_cast<std::size_t>(k * n));
+        std::vector<double> out(static_cast<std::size_t>(m * n));
+        seed_with_signed_zeros(w, rng, 5);
+        seed_with_signed_zeros(di, rng, 7);
+        seed_with_signed_zeros(out, rng, 3);
+        std::vector<double> out_ref = out;
+        const sim::LaunchStats tile = exec.run([&](sim::CpeContext& ctx) {
+          conv::local_gemm_accumulate(ctx, w, di, out, m, k, n, isa);
+        });
+        const sim::LaunchStats ref = exec.run([&](sim::CpeContext& ctx) {
+          conv::local_gemm_accumulate_ref(ctx, w, di, out_ref, m, k, n);
+        });
+        ASSERT_EQ(0, std::memcmp(out.data(), out_ref.data(),
+                                 out.size() * sizeof(double)));
+        ASSERT_EQ(tile.total_flops, ref.total_flops);
+        ASSERT_EQ(tile.max_compute_cycles, ref.max_compute_cycles);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, LocalGemmTile,
+    ::testing::Values(IsaCase{conv::LocalGemmIsa::kVec2, "Vec2"},
+                      IsaCase{conv::LocalGemmIsa::kAvx2, "Avx2"}),
+    [](const ::testing::TestParamInfo<IsaCase>& info) {
+      return ::testing::PrintToString(info.param);
+    });
+
+TEST(LocalGemmTileIsa, ProcessRunsTheWidestSupportedInstantiation) {
+  EXPECT_TRUE(conv::local_gemm_isa_supported(conv::LocalGemmIsa::kVec2));
+  EXPECT_EQ(conv::local_gemm_isa(),
+            conv::local_gemm_isa_supported(conv::LocalGemmIsa::kAvx2)
+                ? conv::LocalGemmIsa::kAvx2
+                : conv::LocalGemmIsa::kVec2);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/conv/ldm_blocked.h"
 #include "src/conv/reference.h"
@@ -147,6 +149,42 @@ TEST(Tracer, CapturesAConvolutionLaunch) {
   tracer.clear();
   conv::run_batch_size_aware(exec, input, filter, output, shape, plan);
   EXPECT_EQ(tracer.size(), 0u);
+}
+
+TEST(Tracer, NamesEachPrimitiveExactly) {
+  // The executor formats event names only while a tracer is attached;
+  // attached, every primitive records its documented name.
+  MeshExecutor exec(mesh_spec(2));
+  EventTracer tracer;
+  exec.set_tracer(&tracer);
+  std::vector<double> global(64);
+  exec.run([&](CpeContext& ctx) {
+    std::span<double> buf = ctx.ldm().alloc_doubles(8);
+    if (ctx.id() == 0) {
+      ctx.dma_get({global.data(), 8}, buf);
+      ctx.dma_put(buf.first(4), {global.data() + 8, 4});
+      ctx.dma_get_strided(global.data(), 3, 2, 8, buf.first(6));
+      ctx.dma_put_strided(buf.first(6), global.data() + 32, 3, 2, 8);
+      ctx.bcast_row_span(buf);            // two 256-bit messages
+      ctx.bcast_col_span(buf.first(4));   // one
+    } else if (ctx.id() == 1) {
+      ctx.recv_row_span(buf);
+    } else if (ctx.id() == 2) {
+      ctx.recv_col_span(buf.first(4));
+    }
+    ctx.sync();
+  });
+  std::vector<std::vector<std::string>> names(4);
+  for (const TraceEvent& e : tracer.events()) {
+    names[static_cast<std::size_t>(e.cpe)].push_back(e.name);
+  }
+  EXPECT_EQ(names[0], (std::vector<std::string>{
+                          "get 64B", "put 32B", "get-strided 3x16B",
+                          "put-strided 3x16B", "bcast-row", "bcast-row",
+                          "bcast-col", "barrier"}));
+  for (std::size_t cpe = 1; cpe < 4; ++cpe) {
+    EXPECT_EQ(names[cpe], std::vector<std::string>{"barrier"});
+  }
 }
 
 TEST(Tracer, ConcurrentRecordingIsSafe) {
