@@ -11,14 +11,15 @@
 //      grids degenerate and the multigrain mappings take over.
 //   3. Measured confirmation: on small regimes the winner flips, both
 //      routes actually run on the functional simulator — the sim's
-//      timed seconds decide, and every executed mapping is checked
-//      bitwise against the reference convolution.
+//      timed seconds decide, every executed mapping is checked bitwise
+//      against the reference convolution, and every launch's
+//      LaunchStats against conv::predict_launch.
 //
 // Emits BENCH_multigrain.json. Exit status is a gate: nonzero unless
 // the chooser switches mapping across the sweep AND at least two
 // measured regimes show a multigrain winner beating the best
 // executable incumbent by >= 1.2x both modeled and sim-measured, with
-// all bitwise checks passing.
+// all bitwise checks passing and every launch equal to its prediction.
 
 #include <cinttypes>
 #include <cstdio>
@@ -121,6 +122,7 @@ struct MeasuredRegime {
   double incumbent_seconds = 0, multigrain_seconds = 0;  ///< sim-timed
   double modeled_speedup = 0, measured_speedup = 0;
   bool incumbent_bitwise = false, multigrain_bitwise = false;
+  bool predicted = false;  ///< both launches' LaunchStats as predicted
   bool multigrain_wins = false;  ///< chooser winner is multigrain
   bool gate_pass = false;        ///< wins && both speedups >= 1.2x && bitwise
 };
@@ -167,6 +169,10 @@ MeasuredRegime measure_regime(conv::SwConvolution& sw, const std::string& name,
   r.multigrain_seconds = mg.stats.modeled_seconds();
   r.multigrain_bitwise =
       std::memcmp(out_mg.data().data(), ref.data().data(), bytes) == 0;
+
+  r.predicted =
+      inc.stats == conv::predict_launch(shape, inc.choice.plan, sw.spec()) &&
+      mg.stats == conv::predict_launch(shape, mg.choice.plan, sw.spec());
 
   r.modeled_speedup = r.multigrain_gflops / r.incumbent_gflops;
   r.measured_speedup = r.multigrain_seconds > 0
@@ -278,47 +284,37 @@ int main() {
   for (const MeasuredRegime& r : regimes) {
     std::printf("%-14s %s\n  incumbent  %-20s mdl %7.2f Gflop/s  sim "
                 "%9.3f ms  bitwise %s\n  multigrain %-20s mdl %7.2f "
-                "Gflop/s  sim %9.3f ms  bitwise %s\n  speedup: modeled "
-                "%.2fx, measured %.2fx -> %s\n",
+                "Gflop/s  sim %9.3f ms  bitwise %s\n  predicted launch "
+                "stats: %s\n  speedup: modeled %.2fx, measured %.2fx -> "
+                "%s\n",
                 r.name.c_str(), r.shape.to_string().c_str(),
                 r.incumbent_plan.c_str(), r.incumbent_gflops,
                 r.incumbent_seconds * 1e3, r.incumbent_bitwise ? "yes" : "NO",
                 r.multigrain_plan.c_str(), r.multigrain_gflops,
                 r.multigrain_seconds * 1e3,
-                r.multigrain_bitwise ? "yes" : "NO", r.modeled_speedup,
+                r.multigrain_bitwise ? "yes" : "NO",
+                r.predicted ? "exact" : "DIFFER", r.modeled_speedup,
                 r.measured_speedup, r.gate_pass ? "PASS" : "fail");
-  }
-
-  // Measured-autotune protocol demo on the first regime: the handle's
-  // own confirm-top-2-with-timed-launches path, not the bench's.
-  const auto report = sw.autotune_plan_measured(regimes.front().shape);
-  if (report) {
-    std::printf("--- measured autotune (%s) ---\n",
-                report->shape.to_string().c_str());
-    for (std::size_t i = 0; i < report->candidates.size(); ++i) {
-      const perf::MeasuredCandidate& c = report->candidates[i];
-      std::printf("  cand[%zu]%s %-20s mdl %7.2f Gflop/s  sim %9.3f ms\n", i,
-                  i == report->winner_index ? "*" : " ",
-                  c.plan.to_string().c_str(), c.modeled_gflops_per_cg,
-                  c.measured_seconds * 1e3);
-    }
-    std::printf("  measurement %s the modeled order\n",
-                report->reordered ? "OVERTURNED" : "confirmed");
   }
 
   // --- gate ---------------------------------------------------------
   const bool chooser_switches = winner_histogram.size() >= 2;
   int winning_regimes = 0;
   bool all_bitwise = true;
+  bool all_predicted = true;
   for (const MeasuredRegime& r : regimes) {
     if (r.gate_pass) ++winning_regimes;
     all_bitwise = all_bitwise && r.incumbent_bitwise && r.multigrain_bitwise;
+    all_predicted = all_predicted && r.predicted;
   }
-  const bool gate = chooser_switches && winning_regimes >= 2 && all_bitwise;
+  const bool gate = chooser_switches && winning_regimes >= 2 && all_bitwise &&
+                    all_predicted;
   std::printf("gate: chooser switches mapping: %s, winning measured "
-              "regimes: %d/2, bitwise: %s -> %s\n",
+              "regimes: %d/2, bitwise: %s, launches as predicted: %s -> "
+              "%s\n",
               chooser_switches ? "yes" : "NO", winning_regimes,
-              all_bitwise ? "yes" : "NO", gate ? "PASS" : "FAIL");
+              all_bitwise ? "yes" : "NO", all_predicted ? "yes" : "NO",
+              gate ? "PASS" : "FAIL");
 
   // --- JSON ---------------------------------------------------------
   const char* path = "BENCH_multigrain.json";
@@ -352,24 +348,16 @@ int main() {
         "\"incumbent_gflops\": %.3f, \"multigrain_gflops\": %.3f, "
         "\"incumbent_sim_seconds\": %.6e, \"multigrain_sim_seconds\": %.6e, "
         "\"modeled_speedup\": %.3f, \"measured_speedup\": %.3f, "
-        "\"bitwise\": %s, \"gate_pass\": %s}%s\n",
+        "\"bitwise\": %s, \"predicted\": %s, \"gate_pass\": %s}%s\n",
         r.name.c_str(), r.shape.batch, r.shape.ni, r.shape.no, r.shape.ro(),
         r.shape.kr, r.incumbent_plan.c_str(), r.multigrain_plan.c_str(),
         r.incumbent_gflops, r.multigrain_gflops, r.incumbent_seconds,
         r.multigrain_seconds, r.modeled_speedup, r.measured_speedup,
         (r.incumbent_bitwise && r.multigrain_bitwise) ? "true" : "false",
-        r.gate_pass ? "true" : "false",
+        r.predicted ? "true" : "false", r.gate_pass ? "true" : "false",
         i + 1 < regimes.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  if (report) {
-    std::fprintf(f, "  \"measured_autotune\": {\"shape\": \"%s\", "
-                 "\"reordered\": %s, \"winner\": \"%s\"},\n",
-                 report->shape.to_string().c_str(),
-                 report->reordered ? "true" : "false",
-                 report->candidates[report->winner_index]
-                     .plan.to_string().c_str());
-  }
   std::fprintf(f, "  \"chooser_switches_mapping\": %s,\n",
                chooser_switches ? "true" : "false");
   std::fprintf(f, "  \"winning_measured_regimes\": %d,\n", winning_regimes);

@@ -139,4 +139,13 @@ sim::LaunchStats mesh_backward_filter(sim::MeshExecutor& exec,
   return total;
 }
 
+sim::LaunchStats predict_backward_filter(const ConvShape& shape,
+                                         const arch::Sw26010Spec& spec) {
+  const sim::LaunchStats tap = predict_mesh_gemm(
+      spec, shape.ni, shape.ro() * shape.co() * shape.batch, shape.no);
+  sim::LaunchStats total;
+  for (std::int64_t t = 0; t < shape.kr * shape.kc; ++t) total.accumulate(tap);
+  return total;
+}
+
 }  // namespace swdnn::conv

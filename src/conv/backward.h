@@ -63,4 +63,10 @@ sim::LaunchStats mesh_backward_filter(sim::MeshExecutor& exec,
                                       tensor::Tensor& d_filter,
                                       const ConvShape& shape);
 
+/// The summed LaunchStats of a fault-free mesh_backward_filter on
+/// `spec`'s mesh, computed without a launch: Kr*Kc identical tap GEMMs
+/// (predict_mesh_gemm), summed in launch order.
+sim::LaunchStats predict_backward_filter(const ConvShape& shape,
+                                         const arch::Sw26010Spec& spec);
+
 }  // namespace swdnn::conv

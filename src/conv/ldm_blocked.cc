@@ -255,4 +255,67 @@ sim::LaunchStats run_batch_size_aware(sim::MeshExecutor& exec,
   return exec.run(kernel);
 }
 
+sim::LaunchStats predict_ldm_blocked(const ConvShape& shape,
+                                     const perf::ConvPlan& plan,
+                                     const arch::Sw26010Spec& spec,
+                                     std::int64_t ro_begin,
+                                     std::int64_t ro_end) {
+  if (plan.kind == perf::PlanKind::kFilterGrained) {
+    throw std::invalid_argument("predict_ldm_blocked: not an LDM-blocked plan");
+  }
+  const std::int64_t p = spec.mesh_rows;
+  check_mesh_compatibility(shape, plan, static_cast<int>(p));
+  ro_end = resolve_ro_end(shape, ro_end);
+
+  const std::int64_t ni_p = shape.ni / p;
+  const std::int64_t no_p = shape.no / p;
+  const std::int64_t rows = ro_end - ro_begin;
+  const std::int64_t col_tiles = shape.co() / plan.block_co;
+  const std::int64_t taps = shape.kr * shape.kc;
+  // Every CPE issues the same requests; `per_cpe` counts one CPE's.
+  const auto cpes = static_cast<std::uint64_t>(p * p);
+  sim::LaunchTally tally;
+  const auto dma = [&](std::int64_t per_cpe, std::int64_t block_elems,
+                       std::int64_t blocks, perf::DmaDirection dir) {
+    tally.add_dma(spec, cpes * static_cast<std::uint64_t>(per_cpe),
+                  static_cast<std::uint64_t>(blocks * block_elems * 8),
+                  block_elems * 8, dir);
+  };
+  const auto gemms = [&](std::int64_t per_cpe, std::int64_t n_tile) {
+    tally_mesh_gemm_accumulate(tally, spec,
+                               static_cast<std::uint64_t>(per_cpe), no_p,
+                               ni_p, n_tile);
+  };
+
+  if (plan.kind == perf::PlanKind::kImageSizeAware) {
+    // Per output tile (batch block, row, column block) and tap: one
+    // filter slice strided at no_p doubles, one bCo*4-double run per
+    // (batch quad, input channel), one mesh GEMM; then one run per
+    // (batch quad, output channel) back.
+    const std::int64_t bb_p = plan.block_b / p;
+    const std::int64_t quads_p = bb_p / 4;
+    const std::int64_t run = plan.block_co * 4;
+    const std::int64_t tiles = shape.batch / plan.block_b * rows * col_tiles;
+    dma(tiles * taps, no_p, ni_p, perf::DmaDirection::kGet);
+    dma(tiles * taps * quads_p * ni_p, run, 1, perf::DmaDirection::kGet);
+    dma(tiles * quads_p * no_p, run, 1, perf::DmaDirection::kPut);
+    gemms(tiles * taps, plan.block_co * bb_p);
+  } else {
+    // Per output tile (column block, row) and filter row: bCo + Kc - 1
+    // input pixel columns strided at b_p doubles, and a filter slice
+    // strided at no_p plus a mesh GEMM for each of the bCo * Kc
+    // (column, tap) pairs; then one b_p-double put per (column, output
+    // channel).
+    const std::int64_t b_p = shape.batch / p;
+    const std::int64_t tiles = col_tiles * rows;
+    const std::int64_t pairs = tiles * shape.kr * plan.block_co * shape.kc;
+    dma(tiles * shape.kr * (plan.block_co + shape.kc - 1), b_p, ni_p,
+        perf::DmaDirection::kGet);
+    dma(pairs, no_p, ni_p, perf::DmaDirection::kGet);
+    dma(tiles * plan.block_co * no_p, b_p, 1, perf::DmaDirection::kPut);
+    gemms(pairs, b_p);
+  }
+  return tally.stats(spec);
+}
+
 }  // namespace swdnn::conv

@@ -87,4 +87,15 @@ sim::LaunchStats run_batch_size_aware(sim::MeshExecutor& exec,
                                       std::int64_t ro_begin = 0,
                                       std::int64_t ro_end = -1);
 
+/// The LaunchStats a fault-free run_image_size_aware or
+/// run_batch_size_aware launch of `plan` (by its kind) over output rows
+/// [ro_begin, ro_end) reports on `spec`'s mesh, computed without running
+/// it from the requests and mesh GEMMs the kernel issues. Throws
+/// MeshMappingError where the launch would.
+sim::LaunchStats predict_ldm_blocked(const ConvShape& shape,
+                                     const perf::ConvPlan& plan,
+                                     const arch::Sw26010Spec& spec,
+                                     std::int64_t ro_begin = 0,
+                                     std::int64_t ro_end = -1);
+
 }  // namespace swdnn::conv

@@ -13,6 +13,32 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
+void check_dimensions(std::int64_t m, std::int64_t k, std::int64_t n) {
+  if (m <= 0 || k <= 0 || n <= 0) {
+    throw std::invalid_argument("mesh_gemm: dimensions must be positive");
+  }
+}
+
+/// Contraction rows each CPE loads per pass: a pass covers P of these
+/// row blocks, one per mesh column (A) or mesh row (B).
+std::int64_t rows_per_pass(const arch::Sw26010Spec& spec, std::int64_t m,
+                           std::int64_t k, std::int64_t n,
+                           const MeshGemmOptions& options) {
+  const std::int64_t k_chunk =
+      options.k_chunk > 0 ? std::min(options.k_chunk, k)
+                          : mesh_gemm_default_k_chunk(spec, m, k, n);
+  return ceil_div(k_chunk, spec.mesh_rows);
+}
+
+/// Calls f(tiles, width) for each tile class of a ceil-divided axis:
+/// the full tiles, then the ragged remainder. The tiles past the
+/// extent are empty and issue nothing.
+template <typename F>
+void for_each_tile_class(std::int64_t extent, std::int64_t tile, F&& f) {
+  if (extent / tile > 0) f(extent / tile, tile);
+  if (extent % tile > 0) f(std::int64_t{1}, extent % tile);
+}
+
 }  // namespace
 
 std::int64_t mesh_gemm_default_k_chunk(const arch::Sw26010Spec& spec,
@@ -41,9 +67,7 @@ sim::LaunchStats mesh_gemm(sim::MeshExecutor& exec,
                            std::span<const double> b, std::span<double> out,
                            std::int64_t m, std::int64_t k, std::int64_t n,
                            const MeshGemmOptions& options) {
-  if (m <= 0 || k <= 0 || n <= 0) {
-    throw std::invalid_argument("mesh_gemm: dimensions must be positive");
-  }
+  check_dimensions(m, k, n);
   if (static_cast<std::int64_t>(a.size()) != k * m ||
       static_cast<std::int64_t>(b.size()) != k * n ||
       static_cast<std::int64_t>(out.size()) != m * n) {
@@ -53,14 +77,11 @@ sim::LaunchStats mesh_gemm(sim::MeshExecutor& exec,
   const std::int64_t p = spec.mesh_rows;
   const std::int64_t m_t = ceil_div(m, p);
   const std::int64_t n_t = ceil_div(n, p);
-  const std::int64_t k_chunk =
-      options.k_chunk > 0 ? std::min(options.k_chunk, k)
-                          : mesh_gemm_default_k_chunk(spec, m, k, n);
-  const std::int64_t k_t = ceil_div(k_chunk, p);
+  const std::int64_t k_t = rows_per_pass(spec, m, k, n, options);
   const bool accumulate = options.accumulate;
   const BusPathMode bus_mode = options.bus_mode;
 
-  auto kernel = [&a, &b, &out, m, k, n, m_t, n_t, k_t, k_chunk, accumulate,
+  auto kernel = [&a, &b, &out, m, k, n, m_t, n_t, k_t, p, accumulate,
                  bus_mode](sim::CpeContext& ctx) {
     const std::int64_t i = ctx.row();
     const std::int64_t j = ctx.col();
@@ -99,7 +120,10 @@ sim::LaunchStats mesh_gemm(sim::MeshExecutor& exec,
       }
     };
 
-    for (std::int64_t k0 = 0; k0 < k; k0 += k_chunk) {
+    // A pass loads P row blocks of k_t rows, so it advances P * k_t
+    // rows (more than the requested chunk when the chunk is not a
+    // multiple of P).
+    for (std::int64_t k0 = 0; k0 < k; k0 += p * k_t) {
       // A: contraction block j (this CPE's mesh column), m block i;
       // B: contraction block i (mesh row), n block j — the Fig. 3
       // distribution, nothing duplicated across the mesh.
@@ -135,6 +159,44 @@ sim::LaunchStats mesh_gemm(sim::MeshExecutor& exec,
     }
   };
   return exec.run(kernel);
+}
+
+sim::LaunchStats predict_mesh_gemm(const arch::Sw26010Spec& spec,
+                                   std::int64_t m, std::int64_t k,
+                                   std::int64_t n,
+                                   const MeshGemmOptions& options) {
+  check_dimensions(m, k, n);
+  const std::int64_t p = spec.mesh_rows;
+  const std::int64_t m_t = ceil_div(m, p);
+  const std::int64_t n_t = ceil_div(n, p);
+  const std::int64_t k_t = rows_per_pass(spec, m, k, n, options);
+  const auto count = [](std::int64_t v) {
+    return static_cast<std::uint64_t>(v);
+  };
+
+  sim::LaunchTally tally;
+  tally_mesh_gemm_accumulate(tally, spec, count(ceil_div(k, p * k_t)), m_t,
+                             k_t, n_t);
+  // Every contraction row below k is loaded once per A and B column
+  // block that holds in-bounds columns; rows past k load nothing.
+  const auto load = [&](std::int64_t tiles, std::int64_t width) {
+    tally.add_dma(spec, count(tiles * k), count(width * 8), width * 8,
+                  perf::DmaDirection::kGet);
+  };
+  for_each_tile_class(m, m_t, load);
+  for_each_tile_class(n, n_t, load);
+  // Write-back: each in-bounds output row of each n block, read first
+  // when accumulating.
+  for_each_tile_class(n, n_t, [&](std::int64_t tiles, std::int64_t width) {
+    const std::uint64_t rows = count(tiles * m);
+    if (options.accumulate) {
+      tally.add_dma(spec, rows, count(width * 8), width * 8,
+                    perf::DmaDirection::kGet);
+    }
+    tally.add_dma(spec, rows, count(width * 8), width * 8,
+                  perf::DmaDirection::kPut);
+  });
+  return tally.stats(spec);
 }
 
 }  // namespace swdnn::conv

@@ -41,6 +41,17 @@ sim::LaunchStats mesh_gemm(sim::MeshExecutor& exec,
                            std::int64_t m, std::int64_t k, std::int64_t n,
                            const MeshGemmOptions& options = {});
 
+/// The LaunchStats a fault-free mesh_gemm launch with these dimensions
+/// and options reports on `spec`'s mesh, computed without running it:
+/// each contraction row is loaded once per A column block and B column
+/// block holding any in-bounds columns, and the ragged edges of the
+/// ceil-divided tiles are the only other tile class. Throws where
+/// mesh_gemm would.
+sim::LaunchStats predict_mesh_gemm(const arch::Sw26010Spec& spec,
+                                   std::int64_t m, std::int64_t k,
+                                   std::int64_t n,
+                                   const MeshGemmOptions& options = {});
+
 /// The k-chunk the driver would pick for these dimensions on this
 /// machine (exposed for tests and the plan explorer).
 std::int64_t mesh_gemm_default_k_chunk(const arch::Sw26010Spec& spec,

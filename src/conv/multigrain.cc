@@ -15,6 +15,30 @@ std::int64_t resolve_ro_end(const ConvShape& shape, std::int64_t ro_end) {
   return ro_end < 0 ? shape.ro() : ro_end;
 }
 
+/// The pixel passes of a launch over output rows [ro_begin, ro_end):
+/// `pixels` flattened (ro, co, b) columns in blocks of `block_px`, each
+/// pass a mesh_gemm streaming `k_chunk` contraction rows at a time.
+struct Passes {
+  std::int64_t pixels = 0;
+  std::int64_t block_px = 0;
+  std::int64_t k_chunk = 0;
+};
+
+Passes resolve_passes(const ConvShape& shape, const perf::ConvPlan& plan,
+                      const arch::Sw26010Spec& spec, std::int64_t ro_begin,
+                      std::int64_t ro_end) {
+  check_mesh_compatibility(shape, plan, spec.mesh_rows);
+  Passes passes;
+  passes.pixels = (ro_end - ro_begin) * shape.co() * shape.batch;
+  passes.block_px = perf::filter_grained_block_px(shape, plan, spec);
+  passes.k_chunk = perf::filter_grained_k_chunk(shape, plan, spec);
+  if (passes.pixels > 0 && (passes.block_px <= 0 || passes.k_chunk <= 0)) {
+    throw MeshMappingError("filter-grained tile set overflows LDM for " +
+                           shape.to_string());
+  }
+  return passes;
+}
+
 }  // namespace
 
 sim::LaunchStats run_filter_grained(sim::MeshExecutor& exec,
@@ -26,20 +50,14 @@ sim::LaunchStats run_filter_grained(sim::MeshExecutor& exec,
                                     std::int64_t ro_begin,
                                     std::int64_t ro_end) {
   const auto& spec = exec.spec();
-  check_mesh_compatibility(shape, plan, spec.mesh_rows);
   ro_end = resolve_ro_end(shape, ro_end);
+  const auto [pixels, bpx, k_chunk] =
+      resolve_passes(shape, plan, spec, ro_begin, ro_end);
+  if (pixels <= 0) return {};
 
   const std::int64_t big_k = shape.kr * shape.kc * shape.ni;
   const std::int64_t big_co = shape.co();
   const std::int64_t big_b = shape.batch;
-  const std::int64_t pixels = (ro_end - ro_begin) * big_co * big_b;
-  const std::int64_t bpx = perf::filter_grained_block_px(shape, plan, spec);
-  const std::int64_t k_chunk = perf::filter_grained_k_chunk(shape, plan, spec);
-  if (pixels <= 0) return {};
-  if (bpx <= 0 || k_chunk <= 0) {
-    throw MeshMappingError("filter-grained tile set overflows LDM for " +
-                           shape.to_string());
-  }
 
   // The filter tensor [Kr][Kc][Ni][No] row-major IS the [K x No] matrix
   // in the contraction order the bitwise contract pins down (kr, kc, ni
@@ -108,6 +126,29 @@ sim::LaunchStats run_filter_grained(sim::MeshExecutor& exec,
         n += run;
       }
     }
+  }
+  return total;
+}
+
+sim::LaunchStats predict_filter_grained(const ConvShape& shape,
+                                        const perf::ConvPlan& plan,
+                                        const arch::Sw26010Spec& spec,
+                                        std::int64_t ro_begin,
+                                        std::int64_t ro_end) {
+  ro_end = resolve_ro_end(shape, ro_end);
+  const auto [pixels, bpx, k_chunk] =
+      resolve_passes(shape, plan, spec, ro_begin, ro_end);
+  sim::LaunchStats total;
+  if (pixels <= 0) return total;
+  const std::int64_t big_k = shape.kr * shape.kc * shape.ni;
+  const MeshGemmOptions options{.accumulate = false, .k_chunk = k_chunk};
+  // Every pass but a ragged last one is the same launch.
+  const sim::LaunchStats full =
+      predict_mesh_gemm(spec, shape.no, big_k, bpx, options);
+  for (std::int64_t i = 0; i < pixels / bpx; ++i) total.accumulate(full);
+  if (pixels % bpx > 0) {
+    total.accumulate(
+        predict_mesh_gemm(spec, shape.no, big_k, pixels % bpx, options));
   }
   return total;
 }

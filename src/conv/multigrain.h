@@ -40,4 +40,15 @@ sim::LaunchStats run_filter_grained(sim::MeshExecutor& exec,
                                     std::int64_t ro_begin = 0,
                                     std::int64_t ro_end = -1);
 
+/// The summed LaunchStats of a fault-free run_filter_grained over
+/// output rows [ro_begin, ro_end) on `spec`'s mesh, computed without a
+/// launch: one predict_mesh_gemm per pixel pass, summed in launch order
+/// as the kernel sums them. Throws MeshMappingError where the kernel
+/// would.
+sim::LaunchStats predict_filter_grained(const ConvShape& shape,
+                                        const perf::ConvPlan& plan,
+                                        const arch::Sw26010Spec& spec,
+                                        std::int64_t ro_begin = 0,
+                                        std::int64_t ro_end = -1);
+
 }  // namespace swdnn::conv

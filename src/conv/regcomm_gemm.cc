@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/arch/isa.h"
+
 namespace swdnn::conv {
 
 namespace {
@@ -277,6 +279,33 @@ void mesh_gemm_accumulate(sim::CpeContext& ctx,
     // sender.
     ctx.sync();
   }
+}
+
+void tally_mesh_gemm_accumulate(sim::LaunchTally& tally,
+                                const arch::Sw26010Spec& spec,
+                                std::uint64_t calls, std::int64_t m_tile,
+                                std::int64_t k_tile, std::int64_t n_tile) {
+  const auto p = static_cast<std::uint64_t>(spec.mesh_rows);
+  const auto w_messages = static_cast<std::uint64_t>(k_tile * m_tile + 3) / 4;
+  const auto di_messages =
+      static_cast<std::uint64_t>(k_tile * n_tile + 3) / 4;
+  const auto getr = static_cast<std::uint64_t>(
+      arch::op_info(arch::Opcode::kGetr).latency_cycles);
+  const auto getc = static_cast<std::uint64_t>(
+      arch::op_info(arch::Opcode::kGetc).latency_cycles);
+  const auto flops = 2 * static_cast<std::uint64_t>(m_tile * k_tile * n_tile);
+  const auto per_cycle =
+      static_cast<std::uint64_t>(spec.flops_per_cycle_per_cpe());
+  // Over the P steps every CPE broadcasts once on each bus (one issue
+  // cycle per message) and receives P - 1 times (the get latency per
+  // message), and runs P local tiles.
+  const std::uint64_t cycles = w_messages * (1 + (p - 1) * getr) +
+                               di_messages * (1 + (p - 1) * getc) +
+                               p * ((flops + per_cycle - 1) / per_cycle);
+  tally.cpe_cycles += calls * cycles;
+  tally.flops += calls * p * p * p * flops;
+  tally.regcomm_messages +=
+      calls * p * p * (p - 1) * (w_messages + di_messages);
 }
 
 }  // namespace swdnn::conv

@@ -70,6 +70,15 @@ void mesh_gemm_accumulate(sim::CpeContext& ctx,
                           int m_tile, int k_tile, int n_tile,
                           BusPathMode mode = BusPathMode::kBulkSpan);
 
+/// Adds to `tally` what `calls` fault-free mesh_gemm_accumulate calls
+/// with these tile sizes charge on the square mesh of `spec`: each
+/// CPE's cycles (per step one broadcast or one receive on each bus,
+/// then the local tile), the mesh's flops and its bus messages.
+void tally_mesh_gemm_accumulate(sim::LaunchTally& tally,
+                                const arch::Sw26010Spec& spec,
+                                std::uint64_t calls, std::int64_t m_tile,
+                                std::int64_t k_tile, std::int64_t n_tile);
+
 /// The instruction sets the local tile kernel is built for.
 enum class LocalGemmIsa {
   kVec2,  ///< 2-lane double vectors, any target (SSE2 on x86-64)

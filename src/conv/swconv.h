@@ -3,8 +3,11 @@
 //
 // Two clocks (DESIGN.md §5):
 //   * forward()   — functional execution on the simulated mesh, plan
-//                   picked by the performance model, output bitwise equal
-//                   to the naive reference. Its LaunchStats are the
+//                   picked by the performance model (by predicted
+//                   simulated time once autotune_plan tuned the shape),
+//                   output bitwise equal to the naive reference; the
+//                   same launch's LaunchStats come without running it
+//                   from predict_launch. Its LaunchStats are the
 //                   simulator's clock: every DMA request, bus message and
 //                   flop counted and charged (Table III's `meas`, run on
 //                   a row slice of the paper's shapes).
@@ -16,6 +19,7 @@
 // api::Handle holds one SwConvolution, so a handle launches on one
 // executor.
 
+#include <array>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -34,6 +38,18 @@ struct ForwardResult {
   perf::PlanChoice choice;
   sim::LaunchStats stats;
 };
+
+/// The sim::LaunchStats a fault-free launch of `plan`'s mesh kernel
+/// over output rows [ro_begin, ro_end) reports on `spec`'s mesh,
+/// computed in closed form from the shape, the plan and the spec
+/// without a launch: every count, and dma_seconds and compute_seconds
+/// to the bit (no charged count depends on data values). Throws
+/// MeshMappingError where the launch would. Faults are not predicted.
+sim::LaunchStats predict_launch(const ConvShape& shape,
+                                const perf::ConvPlan& plan,
+                                const arch::Sw26010Spec& spec,
+                                std::int64_t ro_begin = 0,
+                                std::int64_t ro_end = -1);
 
 class SwConvolution {
  public:
@@ -98,30 +114,21 @@ class SwConvolution {
   /// (already-cached shapes are skipped).
   std::size_t warm_plans(const std::vector<ConvShape>& shapes);
 
-  /// Runs the schedule autotuner over the shape's ranked plans and
-  /// installs the tuned ranking in the plan cache, so every subsequent
-  /// dispatch of the shape serves the tuned schedule. Counter-neutral
-  /// (peek/warm/install only) and idempotent: a shape is tuned at most
-  /// once per SwConvolution; repeats return nullopt without work.
-  /// Tuning upgrades each ranked entry in place-order, so the cached
-  /// executable-index list stays valid and outputs stay bitwise
-  /// identical (the tuned knobs are schedule-only; see autotune.h).
-  std::optional<perf::AutotuneReport> autotune_plan(const ConvShape& shape);
-
-  /// Measured autotune (DESIGN.md §16): schedule-tunes the ranking like
-  /// autotune_plan, then *confirms* the top modeled candidates with
-  /// timed simulator launches — the model's top mesh-executable pick
-  /// and the best executable entry of the other mapping family — on
-  /// deterministic synthetic data. When no other family maps the shape,
-  /// nothing is launched and the pick is reported untimed
-  /// (measured_seconds 0). If the rival measures
-  /// strictly faster (LaunchStats::modeled_seconds under the plan's buffering
-  /// mode), the two entries swap places before the ranking is installed
-  /// — an explicit, reported reorder, never a silent one. Counter-
-  /// neutral and idempotent like autotune_plan (shares its tuned-shapes
-  /// set). A candidate whose timed launch faults simply loses the
-  /// comparison; this method never throws on faults.
-  std::optional<perf::MeasuredAutotuneReport> autotune_plan_measured(
+  /// Tunes the shape's forward key and its backward_data_shape key
+  /// (DESIGN.md §15) and installs each tuned entry in the plan cache,
+  /// so every later dispatch of either key serves it. Per key:
+  ///   * the schedule autotuner upgrades each ranked entry in place
+  ///     (`ranked` keeps the model's order; see autotune.h);
+  ///   * the `executable` list is stably sorted by predicted simulated
+  ///     time (predict_launch, LaunchStats::modeled_seconds under the
+  ///     plan's double_buffer), so best_executable() is the plan whose
+  ///     fault-free launch is fastest, the model's order breaking ties.
+  /// Outputs stay bitwise identical whichever plan wins. Counter-neutral
+  /// (peek/warm/install only) and idempotent: a key is tuned at most
+  /// once per SwConvolution. Returns one report per key, [0] forward
+  /// and [1] backward-data, nullopt for a key already tuned (or that
+  /// ranks no plan).
+  std::array<std::optional<perf::AutotuneReport>, 2> autotune_plan(
       const ConvShape& shape);
 
   /// Hit/miss/eviction counters of this object's plan cache.
@@ -172,11 +179,8 @@ class SwConvolution {
   /// warm_plans: chooser rank + mesh-executability filter.
   perf::PlanCache::Builder cache_builder() const;
 
-  /// The autotuners' common first phase: claims the shape in tuned_
-  /// (nullopt when it was already tuned or ranks no plan) and returns
-  /// its counter-neutral base ranking, schedule-tuned.
-  std::optional<perf::CachedPlan> schedule_tuned(const ConvShape& shape,
-                                                 perf::AutotuneReport* report);
+  /// autotune_plan for one key.
+  std::optional<perf::AutotuneReport> tune_key(const ConvShape& shape);
 
   /// The shared executor, created on first launch. Callers must hold
   /// exec_mutex_ for the whole launch; the method (re)applies the

@@ -98,7 +98,8 @@ class BackendContext {
   api::FaultCounters fault_counters() const;
   api::ExecutionRoute last_execution_route() const;
   std::string last_error_message() const;
-  /// Distinct shapes the schedule autotuner has tuned on this handle.
+  /// Distinct plan keys (forward and backward-data shapes) the
+  /// autotuner has tuned on this handle.
   std::uint64_t autotuned_shapes() const;
 
  private:

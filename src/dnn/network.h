@@ -84,7 +84,7 @@ struct CompiledStats {
   std::size_t fused_conv_act = 0;   ///< conv+activation pairs collapsed
   std::size_t fused_fc_act = 0;     ///< FC+activation pairs collapsed
   std::size_t elided_pads = 0;      ///< zero-pads with pinned slots
-  std::uint64_t autotuned_shapes = 0;  ///< shapes the autotuner tuned
+  std::uint64_t autotuned_shapes = 0;  ///< plan keys the autotuner tuned
 };
 
 class Network {

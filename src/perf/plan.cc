@@ -50,27 +50,6 @@ bool plan_kind_is_multigrain(PlanKind kind) {
   return false;
 }
 
-PlanFamily plan_kind_family(PlanKind kind) {
-  switch (kind) {
-    case PlanKind::kImageSizeAware:
-    case PlanKind::kBatchSizeAware:
-      return PlanFamily::kIncumbent;
-    case PlanKind::kFilterGrained:
-      return PlanFamily::kFilterGrained;
-  }
-  return PlanFamily::kIncumbent;
-}
-
-const char* plan_family_name(PlanFamily family) {
-  switch (family) {
-    case PlanFamily::kIncumbent:
-      return "incumbent";
-    case PlanFamily::kFilterGrained:
-      return "fgrain";
-  }
-  return "?";
-}
-
 std::string ConvPlan::to_string() const {
   std::string s = plan_kind_name(kind);
   switch (kind) {

@@ -41,19 +41,6 @@ const char* plan_kind_name(PlanKind kind);
 /// benches and tests that compare "new mapping vs incumbent").
 bool plan_kind_is_multigrain(PlanKind kind);
 
-/// The two mapping families with fundamentally different cost
-/// structures — the paper's blocked loads and the im2col-lowered GEMM.
-/// The measured-autotune tournament confirms the model's top pick
-/// against the best executable rival of the OTHER family, because
-/// cross-family is where the model's ordering is least trustworthy.
-enum class PlanFamily {
-  kIncumbent,      ///< kImageSizeAware / kBatchSizeAware
-  kFilterGrained,  ///< kFilterGrained
-};
-
-PlanFamily plan_kind_family(PlanKind kind);
-const char* plan_family_name(PlanFamily family);
-
 struct ConvPlan {
   PlanKind kind = PlanKind::kImageSizeAware;
 

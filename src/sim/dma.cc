@@ -18,11 +18,13 @@ std::uint64_t DmaEngine::cost_cycles(std::uint64_t bytes, double bw_gbs,
   return cycles < 0.0 ? 0 : static_cast<std::uint64_t>(cycles);
 }
 
-std::uint64_t DmaEngine::cost(std::uint64_t bytes, std::int64_t block_bytes,
-                              perf::DmaDirection dir, bool aligned) const {
+std::uint64_t DmaEngine::request_cost(std::uint64_t bytes,
+                                      std::int64_t block_bytes,
+                                      perf::DmaDirection dir, bool aligned,
+                                      double clock_ghz) {
   const double bw_gbs = perf::dma_table().bandwidth_gbs(block_bytes, dir,
                                                         aligned);
-  return cost_cycles(bytes, bw_gbs, spec_.cpe_clock_ghz);
+  return cost_cycles(bytes, bw_gbs, clock_ghz);
 }
 
 void DmaEngine::add_shard(const DmaShard& shard) {

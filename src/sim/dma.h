@@ -24,6 +24,8 @@ struct DmaTotals {
   std::uint64_t put_bytes = 0;
   std::uint64_t requests = 0;
   std::uint64_t misaligned_requests = 0;
+
+  bool operator==(const DmaTotals&) const = default;
 };
 
 /// Per-CPE accounting shard. Each CPE owns one exclusively during a
@@ -66,7 +68,16 @@ class DmaEngine {
   /// record(), no accumulation. The hot path charges costs into a
   /// per-CPE DmaShard and folds once per launch via add_shard().
   std::uint64_t cost(std::uint64_t bytes, std::int64_t block_bytes,
-                     perf::DmaDirection dir, bool aligned) const;
+                     perf::DmaDirection dir, bool aligned) const {
+    return request_cost(bytes, block_bytes, dir, aligned, spec_.cpe_clock_ghz);
+  }
+
+  /// cost() on a `clock_ghz` CPE, without an engine: the closed-form
+  /// launch prediction prices its requests through this.
+  static std::uint64_t request_cost(std::uint64_t bytes,
+                                    std::int64_t block_bytes,
+                                    perf::DmaDirection dir, bool aligned,
+                                    double clock_ghz);
 
   /// Folds one CPE's launch shard into the shared totals.
   void add_shard(const DmaShard& shard);

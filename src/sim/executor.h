@@ -147,6 +147,7 @@ class CpeContext {
                    perf::DmaDirection dir, bool aligned);
   bool dma_aligned(std::int64_t bytes);
   void maybe_stall_bus();
+  void charge_broadcast(std::size_t messages, int fanout, const char* name);
   std::uint64_t record_dma(std::uint64_t bytes, std::int64_t block_bytes,
                            perf::DmaDirection dir, bool aligned);
 
@@ -194,6 +195,30 @@ struct LaunchStats {
   /// a kernel issued as a sequence of launches: every count and modeled
   /// time sums, and the first failure's outcome is kept.
   void accumulate(const LaunchStats& next);
+
+  /// Every field equal, the modeled times to the bit.
+  bool operator==(const LaunchStats&) const = default;
+};
+
+/// The counts of one fault-free launch, tallied in closed form instead
+/// of by running its kernels (conv::predict_launch). The library's
+/// kernels charge every CPE the same cycles, so `cpe_cycles` is each
+/// CPE's and therefore the slowest one's.
+struct LaunchTally {
+  std::uint64_t cpe_cycles = 0;
+  std::uint64_t flops = 0;           ///< summed over the mesh
+  std::uint64_t regcomm_messages = 0;
+  DmaShard dma;                      ///< every CPE's requests together
+
+  /// Adds `count` requests of `bytes` each, moved in contiguous blocks
+  /// of `block_bytes`, priced and classed (128 B rule) as CpeContext
+  /// prices them.
+  void add_dma(const arch::Sw26010Spec& spec, std::uint64_t count,
+               std::uint64_t bytes, std::int64_t block_bytes,
+               perf::DmaDirection dir);
+
+  /// The LaunchStats MeshExecutor::run reports for these counts.
+  LaunchStats stats(const arch::Sw26010Spec& spec) const;
 };
 
 class MeshExecutor {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "src/conv/backward.h"
@@ -68,6 +69,10 @@ BwdCase bc(int mesh, std::int64_t b, std::int64_t ni, std::int64_t no,
               std::to_string(ro) + "x" + std::to_string(co) + "k" +
               std::to_string(k)};
 }
+
+// Without a printer gtest puts the raw parameter bytes, padding and the
+// label's heap address included, into the discovered test names.
+void PrintTo(const BwdCase& tc, std::ostream* os) { *os << tc.label; }
 
 class BackwardData : public ::testing::TestWithParam<BwdCase> {};
 

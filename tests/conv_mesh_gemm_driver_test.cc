@@ -89,8 +89,11 @@ INSTANTIATE_TEST_SUITE_P(
         gc(2, 3, 5, 7), gc(2, 1, 1, 1), gc(4, 5, 9, 6), gc(4, 7, 3, 13),
         // Dimensions smaller than the mesh.
         gc(4, 2, 2, 3), gc(8, 3, 5, 2),
-        // Forced contraction chunking.
-        gc(2, 4, 16, 4, 4), gc(2, 5, 23, 3, 8), gc(4, 6, 32, 6, 8)),
+        // Forced contraction chunking, also by chunks that are not a
+        // multiple of the mesh dimension (each pass still loads whole
+        // row blocks, and no row twice).
+        gc(2, 4, 16, 4, 4), gc(2, 5, 23, 3, 8), gc(4, 6, 32, 6, 8),
+        gc(2, 5, 7, 3, 3), gc(8, 9, 30, 5, 10)),
     [](const ::testing::TestParamInfo<GemmCase>& info) {
       return info.param.label;
     });
@@ -128,7 +131,7 @@ TEST(MeshGemmDriver, ChunkedEqualsUnchunked) {
 
   std::vector<double> full(static_cast<std::size_t>(m * n), 0.0);
   mesh_gemm(exec, a, b, full, m, k, n);
-  for (std::int64_t chunk : {2, 6, 8, 24}) {
+  for (std::int64_t chunk : {2, 3, 5, 6, 8, 24}) {
     std::vector<double> chunked(static_cast<std::size_t>(m * n), 0.0);
     MeshGemmOptions opts;
     opts.k_chunk = chunk;

@@ -1,11 +1,12 @@
 // Schedule autotuner: the tuned plan never scores below the baseline
 // (the default schedule is in the search space, ties keep it), tuning
-// varies schedule-only knobs and preserves ranking order so the cached
-// executability indices stay valid, and SwConvolution::autotune_plan is
-// idempotent and counter-neutral at the plan cache.
+// varies schedule-only knobs and preserves ranking order, and
+// SwConvolution::autotune_plan is idempotent and counter-neutral at the
+// plan cache and orders the executable list by predicted launch time.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -82,14 +83,15 @@ TEST(Autotune, SwConvolutionInstallIsIdempotentAndCounterNeutral) {
   conv::SwConvolution sw;
   const conv::ConvShape shape = paper_shape(128, 128);
 
-  const auto first = sw.autotune_plan(shape);
+  const auto first = sw.autotune_plan(shape)[0];
   ASSERT_TRUE(first.has_value());
   EXPECT_GE(first->speedup(), 1.0);
   EXPECT_GT(first->candidates_scored, 0u);
 
-  // Second tune of the same shape: no work, no report.
-  const auto second = sw.autotune_plan(shape);
-  EXPECT_FALSE(second.has_value());
+  // Second tune of the same shape: no work, no report for either key.
+  for (const auto& second : sw.autotune_plan(shape)) {
+    EXPECT_FALSE(second.has_value());
+  }
 
   // Tuning rides peek/warm/install only: the serve-time ledger is
   // untouched.
@@ -105,9 +107,9 @@ TEST(Autotune, SwConvolutionInstallIsIdempotentAndCounterNeutral) {
 }
 
 TEST(Autotune, TunedRankingKeepsExecutableIndicesValid) {
-  // A mesh-executable shape: after tuning, the cached executable index
-  // list still points at mesh-executable plans (tuning upgraded entries
-  // in place without reshuffling).
+  // A mesh-executable shape: after tuning, `ranked` keeps its order and
+  // the cached executable list is a permutation of the untuned one (the
+  // same mesh-executable entries), fastest predicted launch first.
   conv::SwConvolution sw;
   const conv::ConvShape shape = conv::ConvShape::from_output(32, 8, 8, 8, 8,
                                                             3, 3);
@@ -115,18 +117,29 @@ TEST(Autotune, TunedRankingKeepsExecutableIndicesValid) {
   ASSERT_TRUE(before.entry->has_executable());
   const std::vector<std::size_t> exec_before = before.entry->executable;
 
-  ASSERT_TRUE(sw.autotune_plan(shape).has_value());
+  ASSERT_TRUE(sw.autotune_plan(shape)[0].has_value());
 
   const auto after = sw.ranked_plans(shape);
-  EXPECT_EQ(after.entry->executable, exec_before);
+  EXPECT_TRUE(std::is_permutation(after.entry->executable.begin(),
+                                  after.entry->executable.end(),
+                                  exec_before.begin(), exec_before.end()));
+  EXPECT_EQ(after.entry->executable.size(), exec_before.size());
   EXPECT_EQ(after.entry->ranked.size(), before.entry->ranked.size());
   for (std::size_t i = 0; i < after.entry->ranked.size(); ++i) {
     EXPECT_EQ(after.entry->ranked[i].plan.kind,
               before.entry->ranked[i].plan.kind)
         << i;
   }
-  // plan_for still resolves (identical route, now tuned).
-  EXPECT_NO_THROW(sw.plan_for(shape, /*require_executable=*/true));
+  std::vector<double> predicted;
+  for (const std::size_t idx : after.entry->executable) {
+    const ConvPlan& plan = after.entry->ranked[idx].plan;
+    predicted.push_back(conv::predict_launch(shape, plan, sw.spec())
+                            .modeled_seconds(plan.double_buffer));
+  }
+  EXPECT_TRUE(std::is_sorted(predicted.begin(), predicted.end()));
+  // plan_for still resolves, to the predicted fastest entry.
+  EXPECT_EQ(sw.plan_for(shape, /*require_executable=*/true).plan.to_string(),
+            after.entry->ranked[after.entry->executable[0]].plan.to_string());
 }
 
 }  // namespace
