@@ -258,6 +258,37 @@ TEST_F(ApiPlanCacheTest, ObservabilityArgumentsAreValidated) {
   EXPECT_EQ(last_plan_algo(nullptr), PlanAlgo::kNone);
 }
 
+TEST(ApiAutotune, TraceNamesThePlanEachKeyDispatches) {
+  // conv_sweep's Conv(B=32, 64->64, 6x6, 3x3) on the 8x8 mesh: the
+  // model ranks batch(bCo=1) first for the backward-data key, but the
+  // tuned key dispatches fgrain(bPx=0), the predicted fastest launch.
+  // The per-key instant names the dispatched plan, not the model's.
+  Handle* handle = nullptr;
+  ASSERT_EQ(create(&handle), Status::kSuccess);
+  sim::EventTracer tracer;
+  ASSERT_EQ(set_event_tracer(handle, &tracer), Status::kSuccess);
+  ASSERT_EQ(set_autotune(handle, true), Status::kSuccess);
+  TensorDescriptor x_desc;
+  FilterDescriptor w_desc;
+  ASSERT_EQ(set_tensor4d_descriptor(x_desc, 6, 6, 64, 32), Status::kSuccess);
+  ASSERT_EQ(set_filter_descriptor(w_desc, 3, 3, 64, 64), Status::kSuccess);
+  ASSERT_EQ(convolution_plan_warmup(handle, x_desc, w_desc),
+            Status::kSuccess);
+  std::vector<std::string> tuned;
+  for (const auto& e : tracer.events()) {
+    if (e.category == "autotune") tuned.push_back(e.name);
+  }
+  // One instant per key: forward, then backward-data.
+  ASSERT_EQ(tuned.size(), 2u);
+  EXPECT_NE(tuned[0].find("in=6x6"), std::string::npos) << tuned[0];
+  EXPECT_NE(tuned[1].find("in=8x8"), std::string::npos) << tuned[1];
+  for (const std::string& name : tuned) {
+    EXPECT_NE(name.find(" plan=fgrain(bPx=0) "), std::string::npos) << name;
+  }
+  EXPECT_EQ(autotuned_shapes(handle), 2u);
+  EXPECT_EQ(destroy(handle), Status::kSuccess);
+}
+
 TEST(PlanAlgoNames, AreDistinctAndStable) {
   EXPECT_STREQ(plan_algo_name(PlanAlgo::kNone), "none");
   EXPECT_STREQ(plan_algo_name(PlanAlgo::kDirect), "direct");
