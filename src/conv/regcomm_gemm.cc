@@ -1,8 +1,5 @@
 #include "src/conv/regcomm_gemm.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "src/arch/isa.h"
 
 namespace swdnn::conv {
@@ -91,150 +88,12 @@ void local_gemm_accumulate_ref(sim::CpeContext& ctx,
                    static_cast<std::uint64_t>(n_tile));
 }
 
-namespace {
-
-// The register tile of local_gemm_accumulate (see its header comment).
-// V is a GCC vector of 2 or 4 doubles; a scalar times a vector
-// broadcasts the scalar. Tiles are only 8-byte aligned, so vectors load
-// and store through memcpy. Everything is always_inline: a body not
-// inlined into the target("avx2") entry point is compiled for the
-// baseline ISA, with its 4-lane vectors split into 2-lane halves.
-typedef double F64x2 __attribute__((vector_size(16)));
-typedef double F64x4 __attribute__((vector_size(32)));
-
-// Out-parameter, not a return value: a 32-byte vector returned from a
-// function compiled for the baseline ISA would change its ABI.
-template <typename V>
-[[gnu::always_inline]] inline void load(V& v, const double* p) {
-  std::memcpy(&v, p, sizeof(V));
-}
-
-template <typename V>
-[[gnu::always_inline]] inline void store(double* p, const V& v) {
-  std::memcpy(p, &v, sizeof(V));
-}
-
-// R output rows from m0 on: column blocks of two vectors, then one
-// vector, then single columns. The scalar columns keep R independent
-// accumulators; n = 1 tiles take only them.
-template <typename V, int R>
-[[gnu::always_inline]] inline void tile_rows(const double* w, const double* di,
-                                             double* out, int m0, int m_tile,
-                                             int k_tile, int n_tile) {
-  constexpr int kLanes = sizeof(V) / sizeof(double);
-  const std::size_t m = static_cast<std::size_t>(m_tile);
-  const std::size_t n = static_cast<std::size_t>(n_tile);
-  const double* wm = w + m0;
-  double* om = out + static_cast<std::size_t>(m0) * n;
-  int n0 = 0;
-  for (; n0 + 2 * kLanes <= n_tile; n0 += 2 * kLanes) {
-    V acc[R][2];
-    for (int i = 0; i < R; ++i) {
-      load(acc[i][0], om + i * n + n0);
-      load(acc[i][1], om + i * n + n0 + kLanes);
-    }
-    for (int k = 0; k < k_tile; ++k) {
-      const double* dik = di + k * n + n0;
-      V d0, d1;
-      load(d0, dik);
-      load(d1, dik + kLanes);
-      for (int i = 0; i < R; ++i) {
-        const double wv = wm[k * m + i];
-        acc[i][0] += wv * d0;
-        acc[i][1] += wv * d1;
-      }
-    }
-    for (int i = 0; i < R; ++i) {
-      store(om + i * n + n0, acc[i][0]);
-      store(om + i * n + n0 + kLanes, acc[i][1]);
-    }
-  }
-  if (n0 + kLanes <= n_tile) {
-    V acc[R];
-    for (int i = 0; i < R; ++i) load(acc[i], om + i * n + n0);
-    for (int k = 0; k < k_tile; ++k) {
-      V d;
-      load(d, di + k * n + n0);
-      for (int i = 0; i < R; ++i) acc[i] += wm[k * m + i] * d;
-    }
-    for (int i = 0; i < R; ++i) store(om + i * n + n0, acc[i]);
-    n0 += kLanes;
-  }
-  for (; n0 < n_tile; ++n0) {
-    double acc[R];
-    for (int i = 0; i < R; ++i) acc[i] = om[i * n + n0];
-    for (int k = 0; k < k_tile; ++k) {
-      const double d = di[k * n + n0];
-      for (int i = 0; i < R; ++i) acc[i] += wm[k * m + i] * d;
-    }
-    for (int i = 0; i < R; ++i) om[i * n + n0] = acc[i];
-  }
-}
-
-// Row blocks of four, then single rows.
-template <typename V>
-[[gnu::always_inline]] inline void tile_gemm(const double* w, const double* di,
-                                             double* out, int m_tile,
-                                             int k_tile, int n_tile) {
-  int m0 = 0;
-  for (; m0 + 4 <= m_tile; m0 += 4) {
-    tile_rows<V, 4>(w, di, out, m0, m_tile, k_tile, n_tile);
-  }
-  for (; m0 < m_tile; ++m0) {
-    tile_rows<V, 1>(w, di, out, m0, m_tile, k_tile, n_tile);
-  }
-}
-
-using TileGemm = void (*)(const double*, const double*, double*, int, int,
-                          int);
-
-void tile_gemm_vec2(const double* w, const double* di, double* out,
-                    int m_tile, int k_tile, int n_tile) {
-  tile_gemm<F64x2>(w, di, out, m_tile, k_tile, n_tile);
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-[[gnu::target("avx2")]] void tile_gemm_avx2(const double* w,
-                                            const double* di, double* out,
-                                            int m_tile, int k_tile,
-                                            int n_tile) {
-  tile_gemm<F64x4>(w, di, out, m_tile, k_tile, n_tile);
-}
-#endif
-
-TileGemm tile_gemm_for(LocalGemmIsa isa) {
-#if defined(__x86_64__) || defined(__i386__)
-  return isa == LocalGemmIsa::kAvx2 ? tile_gemm_avx2 : tile_gemm_vec2;
-#else
-  (void)isa;
-  return tile_gemm_vec2;
-#endif
-}
-
-}  // namespace
-
-bool local_gemm_isa_supported(LocalGemmIsa isa) {
-  if (isa == LocalGemmIsa::kVec2) return true;
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-LocalGemmIsa local_gemm_isa() {
-  static const LocalGemmIsa isa = local_gemm_isa_supported(LocalGemmIsa::kAvx2)
-                                      ? LocalGemmIsa::kAvx2
-                                      : LocalGemmIsa::kVec2;
-  return isa;
-}
-
 void local_gemm_accumulate(sim::CpeContext& ctx, std::span<const double> w,
                            std::span<const double> di, std::span<double> out,
                            int m_tile, int k_tile, int n_tile,
                            LocalGemmIsa isa) {
-  tile_gemm_for(isa)(w.data(), di.data(), out.data(), m_tile, k_tile, n_tile);
+  gemm_tile(w.data(), m_tile, di.data(), n_tile, out.data(), n_tile, m_tile,
+            k_tile, n_tile, isa);
   ctx.charge_flops(2ull * static_cast<std::uint64_t>(m_tile) *
                    static_cast<std::uint64_t>(k_tile) *
                    static_cast<std::uint64_t>(n_tile));

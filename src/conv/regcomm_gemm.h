@@ -26,6 +26,7 @@
 
 #include <span>
 
+#include "src/conv/gemm.h"
 #include "src/sim/executor.h"
 
 namespace swdnn::conv {
@@ -79,28 +80,10 @@ void tally_mesh_gemm_accumulate(sim::LaunchTally& tally,
                                 std::uint64_t calls, std::int64_t m_tile,
                                 std::int64_t k_tile, std::int64_t n_tile);
 
-/// The instruction sets the local tile kernel is built for.
-enum class LocalGemmIsa {
-  kVec2,  ///< 2-lane double vectors, any target (SSE2 on x86-64)
-  kAvx2,  ///< 4-lane double vectors, compiled for AVX2 (x86 only)
-};
-
-/// Whether this CPU can run `isa`.
-bool local_gemm_isa_supported(LocalGemmIsa isa);
-
-/// The widest instantiation this CPU supports, picked once per process.
-LocalGemmIsa local_gemm_isa();
-
 /// Local tile update used by each mesh step: do[m][n] += sum_k
-/// w[k][m]*di[k][n], charging the FMA flops to the context. One register
-/// tile (Fig. 5, Eq. 5): 4 output rows x 2 vectors along n, then 4 rows
-/// x 1 vector, then scalar columns, and the same for the last m % 4 rows
-/// one at a time; vectors hold 2 doubles (kVec2) or 4 (kAvx2). The k
-/// loop is innermost, and each out[m][n] still receives
-/// out + w[0][m]*di[0][n] + w[1][m]*di[1][n] + ... in that order, each
-/// term a rounded multiply followed by a rounded add: no FMA (the
-/// library builds with -ffp-contract=off and the AVX2 instantiation's
-/// target excludes FMA), so every instantiation is bitwise
+/// w[k][m]*di[k][n], charging the FMA flops to the context. It runs the
+/// host GEMM's register tile (gemm_tile, at leading dimensions m_tile,
+/// n_tile and n_tile), so every instantiation is bitwise
 /// local_gemm_accumulate_ref. `isa` must be supported by the CPU; tests
 /// name it to run each instantiation.
 void local_gemm_accumulate(sim::CpeContext& ctx, std::span<const double> w,

@@ -14,10 +14,11 @@ namespace {
 // output[ro][co][no][b] += bias[no] over the [Ro][Co][No][B] output.
 void add_bias(std::span<double> output, const tensor::Tensor& bias,
               const conv::ConvShape& shape) {
-  std::size_t i = 0;
+  const double* bias_v = bias.data().data();
+  double* out = output.data();
   for (std::int64_t px = 0; px < shape.ro() * shape.co(); ++px)
     for (std::int64_t no = 0; no < shape.no; ++no)
-      for (std::int64_t b = 0; b < shape.batch; ++b) output[i++] += bias.at(no);
+      for (std::int64_t b = 0; b < shape.batch; ++b) *out++ += bias_v[no];
 }
 
 // d_bias[no] = sum of d_output[ro][co][no][b], accumulated in (ro, co, b)
@@ -25,11 +26,11 @@ void add_bias(std::span<double> output, const tensor::Tensor& bias,
 void bias_gradient(std::span<const double> d_output, tensor::Tensor& d_bias,
                    const conv::ConvShape& shape) {
   d_bias.zero();
-  std::size_t i = 0;
+  double* grad = d_bias.data().data();
+  const double* dout = d_output.data();
   for (std::int64_t px = 0; px < shape.ro() * shape.co(); ++px)
     for (std::int64_t no = 0; no < shape.no; ++no)
-      for (std::int64_t b = 0; b < shape.batch; ++b)
-        d_bias.at(no) += d_output[i++];
+      for (std::int64_t b = 0; b < shape.batch; ++b) grad[no] += *dout++;
 }
 
 }  // namespace

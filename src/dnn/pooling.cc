@@ -43,26 +43,34 @@ void MaxPooling::forward_view(const tensor::TensorView& input,
   const std::int64_t c_out = output.dim(1);
   const std::int64_t n = output.dim(2);
   const std::int64_t b = output.dim(3);
+  const std::int64_t px = n * b;  // one pixel's [N][B]
+  const std::int64_t line = input.dim(1) * px;  // one input row
+  const double* in = input.data().data();
+  double* out = output.data().data();
+  double* arg_r = argmax_r_.data().data();
+  double* arg_c = argmax_c_.data().data();
   runtime::parallel_for(0, r_out, 1, [&](std::int64_t rb, std::int64_t re) {
   for (std::int64_t r = rb; r < re; ++r)
     for (std::int64_t c = 0; c < c_out; ++c)
       for (std::int64_t ch = 0; ch < n; ++ch)
         for (std::int64_t bb = 0; bb < b; ++bb) {
-          double best = input.at(r * window_, c * window_, ch, bb);
+          const std::int64_t o = ((r * c_out + c) * n + ch) * b + bb;
+          const double* win =
+              in + r * window_ * line + c * window_ * px + ch * b + bb;
+          double best = win[0];
           std::int64_t br = 0, bc = 0;
           for (std::int64_t dr = 0; dr < window_; ++dr)
             for (std::int64_t dc = 0; dc < window_; ++dc) {
-              const double v =
-                  input.at(r * window_ + dr, c * window_ + dc, ch, bb);
+              const double v = win[dr * line + dc * px];
               if (v > best) {
                 best = v;
                 br = dr;
                 bc = dc;
               }
             }
-          output.at(r, c, ch, bb) = best;
-          argmax_r_.at(r, c, ch, bb) = static_cast<double>(br);
-          argmax_c_.at(r, c, ch, bb) = static_cast<double>(bc);
+          out[o] = best;
+          arg_r[o] = static_cast<double>(br);
+          arg_c[o] = static_cast<double>(bc);
         }
   });
 }
@@ -74,17 +82,22 @@ void MaxPooling::backward_view(const tensor::TensorView& d_output,
   const std::int64_t c_out = d_output.dim(1);
   const std::int64_t n = d_output.dim(2);
   const std::int64_t b = d_output.dim(3);
+  const std::int64_t px = n * b;
+  const std::int64_t line = d_input.dim(1) * px;
+  const double* dout = d_output.data().data();
+  double* din = d_input.data().data();
+  const double* arg_r = argmax_r_.data().data();
+  const double* arg_c = argmax_c_.data().data();
   runtime::parallel_for(0, r_out, 1, [&](std::int64_t rb, std::int64_t re) {
   for (std::int64_t r = rb; r < re; ++r)
     for (std::int64_t c = 0; c < c_out; ++c)
       for (std::int64_t ch = 0; ch < n; ++ch)
         for (std::int64_t bb = 0; bb < b; ++bb) {
-          const auto dr =
-              static_cast<std::int64_t>(argmax_r_.at(r, c, ch, bb));
-          const auto dc =
-              static_cast<std::int64_t>(argmax_c_.at(r, c, ch, bb));
-          d_input.at(r * window_ + dr, c * window_ + dc, ch, bb) +=
-              d_output.at(r, c, ch, bb);
+          const std::int64_t o = ((r * c_out + c) * n + ch) * b + bb;
+          const auto dr = static_cast<std::int64_t>(arg_r[o]);
+          const auto dc = static_cast<std::int64_t>(arg_c[o]);
+          din[(r * window_ + dr) * line + (c * window_ + dc) * px + ch * b +
+              bb] += dout[o];
         }
   });
 }

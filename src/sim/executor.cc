@@ -316,8 +316,7 @@ void CpeContext::sync() {
 
 void CpeContext::charge_flops(std::uint64_t flops) {
   cell().flops += flops;
-  const auto per_cycle =
-      static_cast<std::uint64_t>(spec().flops_per_cycle_per_cpe());
+  const std::uint64_t per_cycle = exec_.flops_per_cycle_;
   charge_cycles((flops + per_cycle - 1) / per_cycle);
 }
 
@@ -378,6 +377,8 @@ LaunchStats LaunchTally::stats(const arch::Sw26010Spec& spec) const {
 
 MeshExecutor::MeshExecutor(const arch::Sw26010Spec& spec)
     : spec_(spec),
+      flops_per_cycle_(
+          static_cast<std::uint64_t>(spec_.flops_per_cycle_per_cpe())),
       mesh_(spec_),
       dma_(spec_),
       fibers_(mesh_.rows(), mesh_.cols()) {}

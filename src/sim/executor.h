@@ -284,6 +284,8 @@ class MeshExecutor {
   void run_spawned(const Kernel& kernel);
 
   arch::Sw26010Spec spec_;  // by value: callers may pass temporaries
+  // spec_.flops_per_cycle_per_cpe(), the divisor of every charge_flops.
+  std::uint64_t flops_per_cycle_;
   CpeMesh mesh_;            // persistent, reset in place per launch
   DmaEngine dma_;           // persistent, reset per launch
   FiberScheduler fibers_;   // default path: one fiber per CPE

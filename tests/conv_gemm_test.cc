@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <ostream>
 #include <vector>
 
@@ -113,6 +114,66 @@ TEST(Gemm, TileSizeDoesNotChangeResult) {
     }
   }
 }
+
+// gemm_packed_parallel on each register-tile instantiation against
+// gemm_naive, bit for bit: odd m, n and k from 1 up, tiles from one
+// row, column and term per block to one block for the whole product, a
+// nonzero starting C and signed zeros in every operand, so a kernel that
+// started an accumulator at +0, reordered a sum or fused a multiply-add
+// would differ in some bit.
+struct IsaCase {
+  LocalGemmIsa isa;
+  const char* label;
+};
+
+void PrintTo(const IsaCase& c, std::ostream* os) { *os << c.label; }
+
+class PackedParallelGemm : public ::testing::TestWithParam<IsaCase> {};
+
+void fill_with_signed_zeros(std::vector<double>& v, util::Rng& rng,
+                            std::size_t period) {
+  rng.fill_uniform(v, -1, 1);
+  for (std::size_t i = 0; i < v.size(); i += period) v[i] = -0.0;
+  for (std::size_t i = 1; i < v.size(); i += period) v[i] = 0.0;
+}
+
+TEST_P(PackedParallelGemm, SweepIsBitwiseNaive) {
+  const LocalGemmIsa isa = GetParam().isa;
+  if (!local_gemm_isa_supported(isa)) {
+    GTEST_SKIP() << "this CPU does not support AVX2";
+  }
+  util::Rng rng(31);
+  for (const std::int64_t m : {1, 3, 5, 9, 23, 67}) {
+    for (const std::int64_t n : {1, 3, 7, 11, 33, 71}) {
+      for (const std::int64_t k : {1, 5, 13, 65}) {
+        std::vector<double> a(static_cast<std::size_t>(m * k));
+        std::vector<double> b(static_cast<std::size_t>(k * n));
+        std::vector<double> ref(static_cast<std::size_t>(m * n));
+        fill_with_signed_zeros(a, rng, 5);
+        fill_with_signed_zeros(b, rng, 7);
+        fill_with_signed_zeros(ref, rng, 3);
+        const std::vector<double> c0 = ref;
+        gemm_naive(m, n, k, a, b, ref);
+        for (const std::int64_t tile : {1, 7, 64, 1000}) {
+          SCOPED_TRACE(::testing::Message() << "m" << m << "n" << n << "k"
+                                            << k << "tile" << tile);
+          std::vector<double> c = c0;
+          gemm_packed_parallel(m, n, k, a, b, c, tile, isa);
+          ASSERT_EQ(0, std::memcmp(c.data(), ref.data(),
+                                   c.size() * sizeof(double)));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, PackedParallelGemm,
+    ::testing::Values(IsaCase{LocalGemmIsa::kVec2, "Vec2"},
+                      IsaCase{LocalGemmIsa::kAvx2, "Avx2"}),
+    [](const ::testing::TestParamInfo<IsaCase>& info) {
+      return ::testing::PrintToString(info.param);
+    });
 
 }  // namespace
 }  // namespace swdnn::conv

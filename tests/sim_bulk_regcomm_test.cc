@@ -241,7 +241,10 @@ TEST(BulkRegcommEquivalenceTest, LocalKernelsBitwiseIdenticalStandalone) {
 // through the two-vector blocks, the one-vector block and the scalar
 // columns of both vector widths. `out` starts nonzero, and every operand
 // holds signed zeros, so a kernel that started an accumulator at +0 or
-// rounded a multiply-add once would differ in some bit.
+// rounded a multiply-add once would differ in some bit. Each shape also
+// runs at leading dimensions past the tile (lw > m, lb = lc > n), as the
+// host GEMM runs it on a block of larger matrices; the padding between
+// rows must come back untouched.
 struct IsaCase {
   conv::LocalGemmIsa isa;
   const char* label;
@@ -287,6 +290,25 @@ TEST_P(LocalGemmTile, SweepIsBitwiseTheReference) {
                                  out.size() * sizeof(double)));
         ASSERT_EQ(tile.total_flops, ref.total_flops);
         ASSERT_EQ(tile.max_compute_cycles, ref.max_compute_cycles);
+
+        const int lw = m + 3, ld = n + 5;
+        std::vector<double> w_wide(static_cast<std::size_t>(k * lw));
+        std::vector<double> di_wide(static_cast<std::size_t>(k * ld));
+        std::vector<double> out_wide(static_cast<std::size_t>(m * ld));
+        seed_with_signed_zeros(w_wide, rng, 5);
+        seed_with_signed_zeros(di_wide, rng, 7);
+        seed_with_signed_zeros(out_wide, rng, 3);
+        std::vector<double> wide_ref = out_wide;
+        for (int p = 0; p < k; ++p)
+          for (int i = 0; i < m; ++i)
+            for (int j = 0; j < n; ++j)
+              wide_ref[static_cast<std::size_t>(i * ld + j)] +=
+                  w_wide[static_cast<std::size_t>(p * lw + i)] *
+                  di_wide[static_cast<std::size_t>(p * ld + j)];
+        conv::gemm_tile(w_wide.data(), lw, di_wide.data(), ld,
+                        out_wide.data(), ld, m, k, n, isa);
+        ASSERT_EQ(0, std::memcmp(out_wide.data(), wide_ref.data(),
+                                 out_wide.size() * sizeof(double)));
       }
     }
   }
