@@ -33,15 +33,14 @@ void bus_broadcast_row(sim::CpeContext& ctx, std::span<const double> data,
   }
 }
 
-void bus_recv_row(sim::CpeContext& ctx, std::span<double> out,
-                  BusPathMode mode) {
-  if (mode == BusPathMode::kBulkSpan) {
-    ctx.recv_row_span(out);
-    return;
+std::span<const double> bus_recv_row(sim::CpeContext& ctx,
+                                     std::span<double> buffer,
+                                     BusPathMode mode) {
+  if (mode == BusPathMode::kBulkSpan) return ctx.recv_row_span(buffer);
+  for (std::size_t off = 0; off < buffer.size(); off += 4) {
+    unpack(ctx.get_row(), buffer, off);
   }
-  for (std::size_t off = 0; off < out.size(); off += 4) {
-    unpack(ctx.get_row(), out, off);
-  }
+  return buffer;
 }
 
 void bus_broadcast_col(sim::CpeContext& ctx, std::span<const double> data,
@@ -55,15 +54,14 @@ void bus_broadcast_col(sim::CpeContext& ctx, std::span<const double> data,
   }
 }
 
-void bus_recv_col(sim::CpeContext& ctx, std::span<double> out,
-                  BusPathMode mode) {
-  if (mode == BusPathMode::kBulkSpan) {
-    ctx.recv_col_span(out);
-    return;
+std::span<const double> bus_recv_col(sim::CpeContext& ctx,
+                                     std::span<double> buffer,
+                                     BusPathMode mode) {
+  if (mode == BusPathMode::kBulkSpan) return ctx.recv_col_span(buffer);
+  for (std::size_t off = 0; off < buffer.size(); off += 4) {
+    unpack(ctx.get_col(), buffer, off);
   }
-  for (std::size_t off = 0; off < out.size(); off += 4) {
-    unpack(ctx.get_col(), out, off);
-  }
+  return buffer;
 }
 
 void local_gemm_accumulate_ref(sim::CpeContext& ctx,
@@ -108,23 +106,20 @@ void mesh_gemm_accumulate(sim::CpeContext& ctx,
                           BusPathMode mode) {
   const int p = ctx.mesh_rows();
   for (int t = 0; t < p; ++t) {
-    // W phase on the row buses: column t fans its tiles out.
-    std::span<const double> w_cur;
+    // W phase on the row buses: column t fans its tiles out, and the
+    // receivers compute on them where the bus left them.
+    std::span<const double> w_cur = w_local;
     if (ctx.col() == t) {
       bus_broadcast_row(ctx, w_local, mode);
-      w_cur = w_local;
     } else {
-      bus_recv_row(ctx, w_recv, mode);
-      w_cur = w_recv;
+      w_cur = bus_recv_row(ctx, w_recv, mode);
     }
     // Di phase on the column buses: row t fans its tiles down.
-    std::span<const double> di_cur;
+    std::span<const double> di_cur = di_local;
     if (ctx.row() == t) {
       bus_broadcast_col(ctx, di_local, mode);
-      di_cur = di_local;
     } else {
-      bus_recv_col(ctx, di_recv, mode);
-      di_cur = di_recv;
+      di_cur = bus_recv_col(ctx, di_recv, mode);
     }
     if (mode == BusPathMode::kBulkSpan) {
       local_gemm_accumulate(ctx, w_cur, di_cur, do_local, m_tile, k_tile,

@@ -18,11 +18,11 @@
 // BusPathMode. Both model the same machine: per-message fault polls,
 // trace events, cycle charges, and message counts are identical, and
 // tile payloads arrive bitwise equal. kBulkSpan packs each tile once
-// into a pooled payload that all its receivers copy from, each under
-// one lock of its transfer buffer (the fast path); kVec4Reference loops
-// over the scalar 256-bit primitives exactly as the original
-// implementation did, and is kept as the oracle the equivalence tests
-// compare against.
+// into a pooled payload that all its receivers read in place, each
+// taking it under one lock of its transfer buffer (the fast path);
+// kVec4Reference loops over the scalar 256-bit primitives exactly as
+// the original implementation did, and is kept as the oracle the
+// equivalence tests compare against.
 
 #include <span>
 
@@ -43,15 +43,20 @@ enum class BusPathMode {
 void bus_broadcast_row(sim::CpeContext& ctx, std::span<const double> data,
                        BusPathMode mode = BusPathMode::kBulkSpan);
 
-/// Receives `out.size()` doubles from the caller's row transfer buffer.
-void bus_recv_row(sim::CpeContext& ctx, std::span<double> out,
-                  BusPathMode mode = BusPathMode::kBulkSpan);
+/// Receives `buffer.size()` doubles from the caller's row transfer
+/// buffer and returns them: on kBulkSpan where the broadcast left them
+/// when they lie in one payload (CpeContext::recv_row_span), otherwise
+/// unpacked into `buffer`.
+[[nodiscard]] std::span<const double> bus_recv_row(
+    sim::CpeContext& ctx, std::span<double> buffer,
+    BusPathMode mode = BusPathMode::kBulkSpan);
 
 /// Column-bus variants.
 void bus_broadcast_col(sim::CpeContext& ctx, std::span<const double> data,
                        BusPathMode mode = BusPathMode::kBulkSpan);
-void bus_recv_col(sim::CpeContext& ctx, std::span<double> out,
-                  BusPathMode mode = BusPathMode::kBulkSpan);
+[[nodiscard]] std::span<const double> bus_recv_col(
+    sim::CpeContext& ctx, std::span<double> buffer,
+    BusPathMode mode = BusPathMode::kBulkSpan);
 
 /// One full mesh contraction: Do(i,j) += sum_t W(i,t)*Di(t,j).
 ///
@@ -60,9 +65,11 @@ void bus_recv_col(sim::CpeContext& ctx, std::span<double> out,
 ///                                tensor [..][Ni][No] DMAs in naturally;
 ///   di_local [k_tile][n_tile];
 ///   do_local [m_tile][n_tile].
-/// w_recv / di_recv are LDM scratch of the same sizes as w_local /
-/// di_local. The call contains mesh-wide barriers: every CPE of the
-/// mesh must call it the same number of times (SPMD lockstep).
+/// w_recv / di_recv are the LDM receive tiles, of the same sizes as
+/// w_local / di_local; on kBulkSpan the local tile reads each received
+/// tile in place, so they are written only by the Vec4 reference loop.
+/// The call contains mesh-wide barriers: every CPE of the mesh must
+/// call it the same number of times (SPMD lockstep).
 void mesh_gemm_accumulate(sim::CpeContext& ctx,
                           std::span<const double> w_local,
                           std::span<const double> di_local,

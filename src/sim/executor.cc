@@ -287,22 +287,22 @@ void CpeContext::bcast_col_span(std::span<const double> data) {
   }
 }
 
-void CpeContext::recv_row_span(std::span<double> out) {
-  if (out.empty()) return;
-  const std::uint64_t messages = (out.size() + 3) / 4;
+std::span<const double> CpeContext::recv_row_span(std::span<double> buffer) {
+  if (buffer.empty()) return buffer;
+  const std::uint64_t messages = (buffer.size() + 3) / 4;
   charge_cycles(messages *
                 static_cast<std::uint64_t>(
                     arch::op_info(arch::Opcode::kGetr).latency_cycles));
-  cell().row_buffer.get_unpacked(out);
+  return cell().row_buffer.get_span(buffer);
 }
 
-void CpeContext::recv_col_span(std::span<double> out) {
-  if (out.empty()) return;
-  const std::uint64_t messages = (out.size() + 3) / 4;
+std::span<const double> CpeContext::recv_col_span(std::span<double> buffer) {
+  if (buffer.empty()) return buffer;
+  const std::uint64_t messages = (buffer.size() + 3) / 4;
   charge_cycles(messages *
                 static_cast<std::uint64_t>(
                     arch::op_info(arch::Opcode::kGetc).latency_cycles));
-  cell().col_buffer.get_unpacked(out);
+  return cell().col_buffer.get_span(buffer);
 }
 
 void CpeContext::sync() {
@@ -460,6 +460,7 @@ LaunchStats MeshExecutor::run(const Kernel& kernel) {
   } else {
     run_spawned(kernel);
   }
+  mesh_.release_views();
 
   // Fold the per-CPE DMA shards into the shared engine: one pass per
   // launch instead of one atomic round-trip per transfer.

@@ -109,11 +109,21 @@ class CpeContext {
   /// identically to a loop over the Vec4 primitives. Only the host-side
   /// bus traffic differs: a broadcast packs the tile once into a pooled
   /// payload that every receiver's buffer references, and a receive
-  /// copies whole messages out, each under one buffer lock.
+  /// takes its messages under one buffer lock.
+  ///
+  /// A receive of `buffer.size()` doubles returns them where the
+  /// broadcast left them when its messages lie in one payload (every
+  /// receive of the library's kernels does), and otherwise, e.g. after
+  /// Vec4 puts, copies them into `buffer` and returns that. `buffer` is
+  /// the receive tile in LDM, allocated as on the machine, where a Get
+  /// lands in LDM. A view stays valid until this CPE's next receive on
+  /// the same bus or the end of the launch.
   void bcast_row_span(std::span<const double> data);
   void bcast_col_span(std::span<const double> data);
-  void recv_row_span(std::span<double> out);
-  void recv_col_span(std::span<double> out);
+  [[nodiscard]] std::span<const double> recv_row_span(
+      std::span<double> buffer);
+  [[nodiscard]] std::span<const double> recv_col_span(
+      std::span<double> buffer);
 
   // --- Synchronization ---------------------------------------------------
   /// Mesh-wide barrier. Every CPE of the launch must reach it: a launch
@@ -230,9 +240,10 @@ class MeshExecutor {
   MeshExecutor(const MeshExecutor&) = delete;
   MeshExecutor& operator=(const MeshExecutor&) = delete;
 
-  /// Launches `kernel` once per CPE, waits for all to finish, and
-  /// returns the aggregated statistics. Any exception escaping a kernel
-  /// aborts the process with a diagnostic: a throwing kernel is a
+  /// Launches `kernel` once per CPE, waits for all to finish, hands the
+  /// payloads that the kernels' span receives still view back to the
+  /// pool, and returns the aggregated statistics. Any exception escaping
+  /// a kernel aborts the process with a diagnostic: a throwing kernel is a
   /// programming error, and unwinding one CPE of a mesh that others
   /// are blocked on cannot be done safely. So does a launch that can
   /// never finish (deadlock) on the fiber path. Not reentrant: one

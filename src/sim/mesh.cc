@@ -24,6 +24,13 @@ void CpeMesh::reset_for_launch() {
   for (auto& c : cells_) c->reset_for_launch();
 }
 
+void CpeMesh::release_views() {
+  for (auto& c : cells_) {
+    c->row_buffer.release_view();
+    c->col_buffer.release_view();
+  }
+}
+
 std::uint64_t CpeMesh::max_compute_cycles() const {
   std::uint64_t best = 0;
   for (const auto& c : cells_) {

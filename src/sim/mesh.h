@@ -71,6 +71,11 @@ class CpeMesh {
   /// Resets every cell in place for the next launch.
   void reset_for_launch();
 
+  /// Returns to the pool the payloads that the cells' last span
+  /// receives still view (end of a launch). Messages left unread stay
+  /// queued until the next reset.
+  void release_views();
+
   /// Largest per-CPE compute cycle count (the mesh finishes when its
   /// slowest CPE does).
   std::uint64_t max_compute_cycles() const;

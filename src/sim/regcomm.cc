@@ -22,8 +22,9 @@ namespace swdnn::sim {
 
 namespace {
 // Under ASan only the lanes of a packed payload are addressable: a
-// receiver that reads a block after its release, or past its last
-// message, faults instead of reading a recycled tile.
+// receiver that reads a block after its release (a view kept past the
+// next receive on its bus), or past its last message, faults instead of
+// reading a recycled tile.
 void expose_lanes([[maybe_unused]] const Payload& p) {
 #ifdef SWDNN_REGCOMM_ASAN
   const std::size_t used = 4 * p.messages;
@@ -135,12 +136,13 @@ void TransferBuffer::push(Payload& payload) {
   messages_ += payload.messages;
 }
 
-void TransferBuffer::pop_front() {
+Payload& TransferBuffer::pop_front() {
   const Segment& s = ring_[head_];
-  messages_ -= s.payload->messages - s.next;
-  pool_.release(*s.payload);
+  Payload& payload = *s.payload;
+  messages_ -= payload.messages - s.next;
   head_ = (head_ + 1) & (ring_.size() - 1);
   --segments_;
+  return payload;
 }
 
 void TransferBuffer::put(const Vec4& value) {
@@ -153,6 +155,7 @@ void TransferBuffer::put(const Vec4& value) {
 }
 
 Vec4 TransferBuffer::get() {
+  release_view();
   std::unique_lock<std::mutex> lock(mutex_);
   await(lock, /*for_room=*/false);
   Segment& s = ring_[head_];
@@ -161,7 +164,7 @@ Vec4 TransferBuffer::get() {
               sizeof(value.lane));
   ++s.next;
   --messages_;
-  if (s.next == s.payload->messages) pop_front();
+  if (s.next == s.payload->messages) pool_.release(pop_front());
   lock.unlock();
   not_full_.notify_one();
   return value;
@@ -175,33 +178,55 @@ void TransferBuffer::put_payload(Payload& payload) {
   not_empty_.notify_one();
 }
 
-void TransferBuffer::get_unpacked(std::span<double> out) {
-  std::size_t off = 0;
+std::span<const double> TransferBuffer::get_span(std::span<double> buffer) {
+  release_view();
+  const std::size_t messages = (buffer.size() + 3) / 4;
   std::unique_lock<std::mutex> lock(mutex_);
-  while (off < out.size()) {
-    await(lock, /*for_room=*/false);
-    while (segments_ > 0 && off < out.size()) {
+  await(lock, /*for_room=*/false);
+  Segment& front = ring_[head_];
+  if (front.payload->messages - front.next >= messages) {
+    // One payload holds every message: lend a view of it.
+    const double* lanes = front.payload->lanes.get() + 4 * front.next;
+    front.next += messages;
+    messages_ -= messages;
+    if (front.next == front.payload->messages) view_ = &pop_front();
+    lock.unlock();
+    not_full_.notify_all();
+    return {lanes, buffer.size()};
+  }
+  std::size_t off = 0;
+  for (;;) {
+    while (segments_ > 0 && off < buffer.size()) {
       Segment& s = ring_[head_];
       const std::size_t take = std::min(s.payload->messages - s.next,
-                                        (out.size() - off + 3) / 4);
-      const std::size_t n = std::min(4 * take, out.size() - off);
-      std::memcpy(out.data() + off, s.payload->lanes.get() + 4 * s.next,
+                                        (buffer.size() - off + 3) / 4);
+      const std::size_t n = std::min(4 * take, buffer.size() - off);
+      std::memcpy(buffer.data() + off, s.payload->lanes.get() + 4 * s.next,
                   n * sizeof(double));
       off += n;
       s.next += take;
       messages_ -= take;
-      if (s.next == s.payload->messages) pop_front();
+      if (s.next == s.payload->messages) pool_.release(pop_front());
     }
     // Wake reference-path senders parked on the slot capacity before we
-    // wait for the rest of the span, or a mixed put/get_unpacked pair
-    // would deadlock at the buffer depth.
+    // wait for the rest of the span, or a mixed put/get_span pair would
+    // deadlock at the buffer depth.
     not_full_.notify_all();
+    if (off == buffer.size()) return buffer;
+    await(lock, /*for_room=*/false);
   }
 }
 
+void TransferBuffer::release_view() {
+  if (view_ == nullptr) return;
+  pool_.release(*view_);
+  view_ = nullptr;
+}
+
 void TransferBuffer::clear() {
+  release_view();
   std::lock_guard<std::mutex> lock(mutex_);
-  while (segments_ > 0) pop_front();
+  while (segments_ > 0) pool_.release(pop_front());
 }
 
 std::size_t TransferBuffer::size() const {

@@ -17,16 +17,20 @@
 // from a PayloadPool that the mesh owns. A TransferBuffer is a FIFO of
 // segments, each a reference to a block plus the index of its next
 // unread message. A broadcast tile is packed once, zero-padded to whole
-// messages, into one block that every receiver's buffer references;
-// each receiver copies whole messages out, and the last one to drain the
-// block returns it to the pool. After a launch has warmed the pool, bus
-// traffic allocates nothing.
+// messages, into one block that every receiver's buffer references.
+// A span receive whose messages all lie in one block reads them in
+// place: it returns a view into the block, and the buffer keeps the
+// block's reader reference until its next receive (or release_view() or
+// clear()). Only a receive that straddles blocks copies, into the
+// caller's buffer. The last receiver to let go of a block returns it to
+// the pool. After a launch has warmed the pool, bus traffic allocates
+// nothing.
 //
 // Two access disciplines share the store:
 //   * the Vec4 reference path (put/get) — one one-message block per Put,
 //     one lock acquisition per 256-bit message, back-pressured at the
 //     hardware buffer depth; and
-//   * the bulk path (put_payload/get_unpacked) — a whole tile's worth of
+//   * the bulk path (put_payload/get_span) — a whole tile's worth of
 //     messages is queued, or read, under a single lock acquisition. Bulk
 //     puts deliberately ignore the slot capacity: blocking on a full
 //     buffer is host-scheduling behaviour only (no cycles are ever
@@ -122,7 +126,8 @@ class TransferBuffer {
   /// Blocking bounded push (sender side of a bus Put).
   void put(const Vec4& value);
 
-  /// Blocking pop (receiver's Get into its register file).
+  /// Blocking pop (receiver's Get into its register file). Ends the
+  /// last span view, as every receive does.
   Vec4 get();
 
   /// Bulk sender: queues every message of `payload`, a block of this
@@ -131,14 +136,21 @@ class TransferBuffer {
   /// comment for why that is observationally safe.
   void put_payload(Payload& payload);
 
-  /// Bulk receiver: pops ceil(n/4) messages under one lock acquisition
-  /// (waiting while the buffer is empty), possibly from several
-  /// payloads, and copies them into `out`, discarding the lanes of the
-  /// final message that do not fit.
-  void get_unpacked(std::span<double> out);
+  /// Bulk receiver: pops ceil(n/4) messages, n = buffer.size(), under
+  /// one lock acquisition (waiting while the buffer is empty) and
+  /// returns their first n doubles. When the messages lie in one
+  /// payload the span points into it, and the buffer keeps the payload's
+  /// reader reference for it; when they straddle payloads they are
+  /// copied into `buffer` and the span is `buffer`. A view stays valid
+  /// until the next receive on this buffer, release_view() or clear().
+  [[nodiscard]] std::span<const double> get_span(std::span<double> buffer);
 
-  /// Drops any buffered messages and releases their payloads
-  /// (launch-boundary reset).
+  /// Returns the payload that the last view reads, if this buffer still
+  /// holds it, to the pool (end of a launch).
+  void release_view();
+
+  /// Drops any buffered messages and releases their payloads and the
+  /// last view's (launch-boundary reset).
   void clear();
 
   /// Number of messages currently buffered (for tests).
@@ -156,9 +168,10 @@ class TransferBuffer {
   /// Returns once a message is queued, or with `for_room` once a slot
   /// is free; `lock` holds mutex_ on entry and on return.
   void await(std::unique_lock<std::mutex>& lock, bool for_room);
-  /// Appends / drops a segment; mutex_ held.
+  /// Appends a segment / drops the front one and returns its payload,
+  /// whose reader reference passes to the caller; mutex_ held.
   void push(Payload& payload);
-  void pop_front();
+  Payload& pop_front();
   static bool has_message(const void* buffer, std::uint64_t);
   static bool has_room(const void* buffer, std::uint64_t);
 
@@ -172,6 +185,9 @@ class TransferBuffer {
   std::size_t head_ = 0;       ///< ring index of the oldest segment
   std::size_t segments_ = 0;
   std::size_t messages_ = 0;  ///< unread messages across the segments
+  /// The payload the last view reads, or null. Only the receiving CPE
+  /// touches it during a launch, and the executor between launches.
+  Payload* view_ = nullptr;
 };
 
 }  // namespace swdnn::sim

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,6 +130,57 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GridCase>& info) {
       return info.param.label;
     });
+
+// Beside the fixed grid, a seeded sweep: random shapes (half of them
+// divisible, so the LDM-blocked plans run too), every executable plan,
+// meshes of 1, 2, 4 and 8 and random row ranges. It attaches no fault
+// plan: the prediction describes a fault-free launch and stops where
+// faults start, since retries, stalls and forced misalignment add
+// counts that only a launch's draws decide.
+TEST(LaunchPrediction, SeededSweepMatchesItsLaunches) {
+  util::Rng rng(74);
+  std::set<int> meshes;
+  std::set<perf::PlanKind> kinds;
+  for (int i = 0; i < 40; ++i) {
+    const int mesh = 1 << rng.uniform_int(0, 3);
+    const bool divisible = rng.uniform_int(0, 1) == 1;
+    const std::int64_t batch = divisible ? 4 * mesh * rng.uniform_int(1, 2)
+                                         : rng.uniform_int(1, 9);
+    const std::int64_t ni =
+        divisible ? mesh * rng.uniform_int(1, 2) : rng.uniform_int(1, 9);
+    const std::int64_t no =
+        divisible ? mesh * rng.uniform_int(1, 3) : rng.uniform_int(1, 11);
+    const std::int64_t ro = rng.uniform_int(1, 4);
+    const std::int64_t co = rng.uniform_int(1, 4);
+    const std::int64_t k = rng.uniform_int(1, 3);
+    const ConvShape shape = ConvShape::from_output(batch, ni, no, ro, co, k, k);
+    const std::int64_t begin = rng.uniform_int(0, ro - 1);
+    const std::int64_t end = rng.uniform_int(begin + 1, ro);
+    const arch::Sw26010Spec spec = mesh_spec(mesh);
+    SwConvolution sw(spec);
+    sim::MeshExecutor exec(spec);
+    tensor::Tensor in = make_input(shape);
+    tensor::Tensor w = make_filter(shape);
+    tensor::Tensor out = make_output(shape);
+    rng.fill_uniform(in.data(), -1, 1);
+    rng.fill_uniform(w.data(), -1, 1);
+    const perf::PlanCache::Entry entry = sw.ranked_plans(shape).entry;
+    for (const std::size_t idx : entry->executable) {
+      const perf::ConvPlan& plan = entry->ranked[idx].plan;
+      expect_predicted(
+          launch(exec, plan, in, w, out, shape, begin, end),
+          predict_launch(shape, plan, spec, begin, end),
+          "case " + std::to_string(i) + " mesh" + std::to_string(mesh) +
+              " " + shape.to_string() + " " + plan.to_string() + " rows [" +
+              std::to_string(begin) + ", " + std::to_string(end) + ")");
+      meshes.insert(mesh);
+      kinds.insert(plan.kind);
+    }
+  }
+  // The draws reach every mesh and every plan kind.
+  EXPECT_EQ(meshes, (std::set<int>{1, 2, 4, 8}));
+  EXPECT_EQ(kinds.size(), 3u);
+}
 
 TEST(LaunchPrediction, MeshGemmMatchesItsLaunch) {
   struct Case {

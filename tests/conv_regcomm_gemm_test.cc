@@ -31,8 +31,8 @@ TEST(BusHelpers, BroadcastAndReceiveArbitraryLengths) {
         }
         bus_broadcast_row(ctx, payload);
       } else {
-        bus_recv_row(ctx, payload);
-        std::copy(payload.begin(), payload.end(),
+        const std::span<const double> got = bus_recv_row(ctx, payload);
+        std::copy(got.begin(), got.end(),
                   received.begin() +
                       static_cast<std::ptrdiff_t>(ctx.id() * len));
       }

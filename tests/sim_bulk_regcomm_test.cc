@@ -13,9 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstring>
 #include <ostream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/conv/mesh_gemm_driver.h"
@@ -46,6 +50,7 @@ void PrintTo(const GemmCase& c, std::ostream* os) {
 struct PathResult {
   std::vector<double> out;
   sim::LaunchStats stats;
+  std::size_t outstanding = 0;  ///< payloads still out after the launch
 };
 
 PathResult run_gemm(const arch::Sw26010Spec& spec, const GemmCase& c,
@@ -70,6 +75,7 @@ PathResult run_gemm(const arch::Sw26010Spec& spec, const GemmCase& c,
   options.accumulate = accumulate;
   options.bus_mode = mode;
   r.stats = conv::mesh_gemm(exec, a, b, r.out, c.m, c.k, c.n, options);
+  r.outstanding = exec.mesh().payload_pool().outstanding();
   return r;
 }
 
@@ -141,8 +147,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BulkRegcommEquivalenceTest, FibersAloneChangeNothing) {
   // Isolate the host-strategy variable: same bus path, fibers vs
-  // spawned threads, on both bus paths (the Vec4 loop parks senders on
-  // full transfer buffers).
+  // spawned threads, on both bus paths (the bulk path computes on views
+  // of the broadcast payloads; the Vec4 loop parks senders on full
+  // transfer buffers). Either way every payload is back in the pool
+  // once the launch returns.
   const GemmCase c{13, 29, 11};
   const arch::Sw26010Spec spec = small_spec(4);
   for (const conv::BusPathMode mode :
@@ -150,7 +158,66 @@ TEST(BulkRegcommEquivalenceTest, FibersAloneChangeNothing) {
     const PathResult fibers = run_gemm(spec, c, /*fibers=*/true, mode, false);
     const PathResult spawn = run_gemm(spec, c, /*fibers=*/false, mode, false);
     expect_identical(fibers, spawn);
+    EXPECT_EQ(fibers.outstanding, 0u);
+    EXPECT_EQ(spawn.outstanding, 0u);
   }
+}
+
+TEST(BulkRegcommEquivalenceTest, BulkPathComputesOnViewsOnBothStrategies) {
+  // The receive tiles start as NaN. The bulk path reads every received
+  // tile where the broadcast left it, so they stay NaN on fibers and on
+  // spawned threads, and the output still matches the Vec4 reference
+  // loop, which unpacks into them.
+  const int p = 4, m_tile = 3, k_tile = 5, n_tile = 6;
+  util::Rng rng(13);
+  std::vector<double> w(static_cast<std::size_t>(p * p * k_tile * m_tile));
+  std::vector<double> di(static_cast<std::size_t>(p * p * k_tile * n_tile));
+  rng.fill_normal(w, 0.0, 1.0);
+  rng.fill_normal(di, 0.0, 1.0);
+  const auto run = [&](bool fibers, conv::BusPathMode mode) {
+    sim::MeshExecutor exec(small_spec(p));
+    exec.set_use_fibers(fibers);
+    std::vector<double> out(static_cast<std::size_t>(p * p * m_tile * n_tile));
+    std::atomic<int> written{0};
+    exec.run([&](sim::CpeContext& ctx) {
+      const auto id = static_cast<std::size_t>(ctx.id());
+      const std::size_t wn = k_tile * m_tile, dn = k_tile * n_tile;
+      auto w_local = ctx.ldm().alloc_doubles(wn);
+      auto w_recv = ctx.ldm().alloc_doubles(wn);
+      auto di_local = ctx.ldm().alloc_doubles(dn);
+      auto di_recv = ctx.ldm().alloc_doubles(dn);
+      auto do_local = ctx.ldm().alloc_doubles(m_tile * n_tile);
+      std::copy_n(w.begin() + id * wn, wn, w_local.begin());
+      std::copy_n(di.begin() + id * dn, dn, di_local.begin());
+      std::fill(w_recv.begin(), w_recv.end(), std::nan(""));
+      std::fill(di_recv.begin(), di_recv.end(), std::nan(""));
+      std::fill(do_local.begin(), do_local.end(), 0.0);
+      conv::mesh_gemm_accumulate(ctx, w_local, di_local, do_local, w_recv,
+                                 di_recv, m_tile, k_tile, n_tile, mode);
+      const auto is_nan = [](double v) { return std::isnan(v); };
+      if (!std::all_of(w_recv.begin(), w_recv.end(), is_nan) ||
+          !std::all_of(di_recv.begin(), di_recv.end(), is_nan)) {
+        written.fetch_add(1);
+      }
+      const auto offset = static_cast<std::ptrdiff_t>(id * do_local.size());
+      std::copy(do_local.begin(), do_local.end(), out.begin() + offset);
+    });
+    EXPECT_EQ(exec.mesh().payload_pool().outstanding(), 0u);
+    return std::make_pair(out, written.load());
+  };
+  const auto [fiber_out, fiber_written] =
+      run(/*fibers=*/true, conv::BusPathMode::kBulkSpan);
+  const auto [spawn_out, spawn_written] =
+      run(/*fibers=*/false, conv::BusPathMode::kBulkSpan);
+  const auto [ref_out, ref_written] =
+      run(/*fibers=*/false, conv::BusPathMode::kVec4Reference);
+  EXPECT_EQ(fiber_written, 0);
+  EXPECT_EQ(spawn_written, 0);
+  EXPECT_EQ(ref_written, p * p);  // the reference loop unpacks into them
+  EXPECT_EQ(0, std::memcmp(fiber_out.data(), ref_out.data(),
+                           ref_out.size() * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(spawn_out.data(), ref_out.data(),
+                           ref_out.size() * sizeof(double)));
 }
 
 TEST(BulkRegcommEquivalenceTest, LaunchesFromTwoHostThreadsInTurnMatch) {

@@ -5,9 +5,23 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/sim/executor.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SWDNN_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SWDNN_TEST_ASAN 1
+#endif
+#endif
+
+#ifdef SWDNN_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace swdnn::sim {
 namespace {
@@ -236,7 +250,8 @@ TEST(Executor, SpanAndVec4DisciplinesShareOneStore) {
       ctx.put_row(1, Vec4{{7, 8, 9, 10}});
       ctx.put_row(1, Vec4{{11, 12, 13, 14}});
     } else {
-      ctx.recv_row_span(by_span);
+      // The two puts are two payloads: the receive copies them out.
+      EXPECT_EQ(ctx.recv_row_span(by_span).data(), by_span.data());
     }
   });
   EXPECT_EQ(by_vec4, (std::vector<double>{1, 2, 3, 4, 5, 6, 0, 0}));
@@ -259,14 +274,14 @@ TEST(Executor, RepeatedLaunchTakesEveryPayloadFromThePool) {
       if (ctx.col() == t) {
         ctx.bcast_row_span(w);
       } else {
-        ctx.recv_row_span(w_in);
-        EXPECT_EQ(w_in.back(), ctx.row() * ctx.mesh_cols() + t);
+        EXPECT_EQ(ctx.recv_row_span(w_in).back(),
+                  ctx.row() * ctx.mesh_cols() + t);
       }
       if (ctx.row() == t) {
         ctx.bcast_col_span(di);
       } else {
-        ctx.recv_col_span(di_in);
-        EXPECT_EQ(di_in.back(), -(t * ctx.mesh_cols() + ctx.col()));
+        EXPECT_EQ(ctx.recv_col_span(di_in).back(),
+                  -(t * ctx.mesh_cols() + ctx.col()));
       }
       ctx.sync();
     }
@@ -279,6 +294,99 @@ TEST(Executor, RepeatedLaunchTakesEveryPayloadFromThePool) {
   exec.run(kernel);
   EXPECT_EQ(pool.blocks(), blocks);
   EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(Executor, SpanReceiveReadsTheBroadcastTileInPlace) {
+  // Column 0 of a 4x4 mesh broadcasts an 11-double tile along each row.
+  // Each receiver's span points into the one payload of its row, not at
+  // its LDM buffer, and holds the broadcast bits. Every receiver returns
+  // still holding its view; the launch hands each payload back.
+  for (const bool fibers : {true, false}) {
+    SCOPED_TRACE(fibers ? "fibers" : "spawned threads");
+    MeshExecutor exec(mesh_spec(4));
+    exec.set_use_fibers(fibers);
+    std::vector<const double*> views(16, nullptr);
+    std::vector<const double*> buffers(16, nullptr);
+    std::vector<std::vector<double>> received(16);
+    const auto tile_of = [](int row) {
+      std::vector<double> tile(11);
+      for (std::size_t i = 0; i < tile.size(); ++i) {
+        tile[i] = row * 100.0 + static_cast<double>(i) + 0.25;
+      }
+      tile[3] = -0.0;
+      return tile;
+    };
+    exec.run([&](CpeContext& ctx) {
+      const std::vector<double> tile = tile_of(ctx.row());
+      if (ctx.col() == 0) {
+        ctx.bcast_row_span(tile);
+        return;
+      }
+      const auto id = static_cast<std::size_t>(ctx.id());
+      std::span<double> buffer = ctx.ldm().alloc_doubles(tile.size());
+      const std::span<const double> view = ctx.recv_row_span(buffer);
+      views[id] = view.data();
+      buffers[id] = buffer.data();
+      received[id].assign(view.begin(), view.end());
+    });
+    for (int r = 0; r < 4; ++r) {
+      const std::vector<double> tile = tile_of(r);
+      const auto first = static_cast<std::size_t>(r * 4 + 1);
+      for (std::size_t id = first; id < first + 3; ++id) {
+        EXPECT_NE(views[id], buffers[id]);
+        EXPECT_EQ(views[id], views[first]);
+        ASSERT_EQ(received[id].size(), tile.size());
+        EXPECT_EQ(0, std::memcmp(received[id].data(), tile.data(),
+                                 tile.size() * sizeof(double)));
+      }
+    }
+    EXPECT_NE(views[1], views[5]);  // one payload per row
+    EXPECT_EQ(exec.mesh().payload_pool().outstanding(), 0u);
+  }
+}
+
+TEST(Executor, SpanReceiveAcrossTwoBroadcastsCopiesIntoTheBuffer) {
+  // Two broadcasts read as one span: their messages lie in two
+  // payloads, so the receive copies whole messages into the buffer.
+  MeshExecutor exec(mesh_spec(2));
+  std::vector<double> received(10, -1);
+  exec.run([&](CpeContext& ctx) {
+    if (ctx.id() == 0) {
+      ctx.bcast_row_span(std::vector<double>{1, 2, 3, 4, 5});
+      ctx.bcast_row_span(std::vector<double>{6, 7});
+    } else if (ctx.id() == 1) {
+      EXPECT_EQ(ctx.recv_row_span(received).data(), received.data());
+    }
+  });
+  EXPECT_EQ(received, (std::vector<double>{1, 2, 3, 4, 5, 0, 0, 0, 6, 7}));
+  EXPECT_EQ(exec.mesh().payload_pool().outstanding(), 0u);
+}
+
+TEST(Executor, NextReceivePoisonsTheLastViewsLanes) {
+#ifndef SWDNN_TEST_ASAN
+  GTEST_SKIP() << "needs AddressSanitizer";
+#else
+  // On a 2x2 mesh each row broadcast has one receiver, so its next
+  // receive returns the first payload to the pool, which poisons it.
+  MeshExecutor exec(mesh_spec(2));
+  bool live = false;
+  bool poisoned = false;
+  exec.run([&](CpeContext& ctx) {
+    if (ctx.id() == 0) {
+      ctx.bcast_row_span(std::vector<double>(8, 1.0));
+      ctx.bcast_row_span(std::vector<double>(8, 2.0));
+    } else if (ctx.id() == 1) {
+      std::span<double> buffer = ctx.ldm().alloc_doubles(8);
+      const std::span<const double> view = ctx.recv_row_span(buffer);
+      live = __asan_region_is_poisoned(const_cast<double*>(view.data()),
+                                       view.size_bytes()) == nullptr;
+      (void)ctx.recv_row_span(buffer);
+      poisoned = __asan_address_is_poisoned(view.data()) != 0;
+    }
+  });
+  EXPECT_TRUE(live);
+  EXPECT_TRUE(poisoned);
+#endif
 }
 
 TEST(Executor, PayloadsLeftQueuedReturnAtTheNextLaunch) {
@@ -325,7 +433,7 @@ TEST(ExecutorDeathTest, GetFromAnUnfedBusAbortsNamingTheBus) {
         exec.run([](CpeContext& ctx) {
           std::vector<double> tile(8);
           if (ctx.id() == 1) ctx.get_row();
-          if (ctx.id() == 2) ctx.recv_col_span(tile);
+          if (ctx.id() == 2) (void)ctx.recv_col_span(tile);
         });
       },
       "deadlock: 2 of 4 CPEs are blocked.*"

@@ -168,9 +168,9 @@ TEST(Tracer, NamesEachPrimitiveExactly) {
       ctx.bcast_row_span(buf);            // two 256-bit messages
       ctx.bcast_col_span(buf.first(4));   // one
     } else if (ctx.id() == 1) {
-      ctx.recv_row_span(buf);
+      (void)ctx.recv_row_span(buf);
     } else if (ctx.id() == 2) {
-      ctx.recv_col_span(buf.first(4));
+      (void)ctx.recv_col_span(buf.first(4));
     }
     ctx.sync();
   });
