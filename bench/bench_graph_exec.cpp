@@ -179,8 +179,6 @@ int main() {
               static_cast<unsigned long long>(stats.fused_conv_act),
               static_cast<unsigned long long>(stats.fused_fc_act),
               static_cast<unsigned long long>(stats.elided_pads));
-  std::printf("autotune:  %llu shape(s) tuned at compile time\n",
-              static_cast<unsigned long long>(stats.autotuned_shapes));
   std::printf("arena:     peak %lld B vs naive %lld B  (-%.1f%%), "
               "%zu slots, %llu allocation(s)\n",
               static_cast<long long>(stats.arena_peak_bytes),
@@ -222,8 +220,6 @@ int main() {
                static_cast<unsigned long long>(stats.fused_fc_act));
   std::fprintf(f, "  \"elided_pads\": %llu,\n",
                static_cast<unsigned long long>(stats.elided_pads));
-  std::fprintf(f, "  \"autotuned_shapes\": %llu,\n",
-               static_cast<unsigned long long>(stats.autotuned_shapes));
   std::fprintf(f, "  \"arena_peak_bytes\": %lld,\n",
                static_cast<long long>(stats.arena_peak_bytes));
   std::fprintf(f, "  \"arena_naive_bytes\": %lld,\n",

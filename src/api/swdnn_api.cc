@@ -1,7 +1,6 @@
 #include "src/api/swdnn_api.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -37,10 +36,6 @@ struct Handle {
   std::uint64_t host_fallbacks = 0;
   std::uint64_t dma_retries = 0;
   std::uint64_t plan_fallbacks = 0;
-  // Configuration flags. Atomic because Network::compile sets them on a
-  // handle that other threads' compiles and steps may share.
-  std::atomic<bool> autotune{false};
-  std::uint64_t autotuned = 0;     // shapes tuned; guarded by mutex
 
   // Staging-tensor recycler: wrapped inputs, outputs, and the im2col
   // lowering's matrices all cycle through here, so a warmed-up handle
@@ -449,36 +444,27 @@ Status convolution_plan_warmup(Handle* handle,
   if (rs != Status::kSuccess) return rs;
   try {
     // backward-data dispatches the transposed problem through the same
-    // cache, so a full warm-up covers both keys a training step uses.
-    const bool built =
-        handle->sw.warm_plans({shape, conv::backward_data_shape(shape)}) > 0;
-    trace_dispatch(handle, built ? "warm" : "warm_cached");
-    if (handle->autotune) {
-      // One call tunes both keys; one report (or nullopt) per key.
-      for (const std::optional<perf::AutotuneReport>& report :
-           handle->sw.autotune_plan(shape)) {
-        if (handle->tracer != nullptr) {
-          std::string what = "tune_cached";
-          if (report.has_value()) {
-            // The plan this key now dispatches, or the host route when
-            // no plan is mesh-executable.
-            const std::optional<perf::ConvPlan>& plan =
-                report->dispatched_plan;
-            what = "tune " + report->shape.to_string() + " plan=" +
-                   (plan ? plan->to_string() +
-                               " rb_b=" + std::to_string(plan->rb_b) +
-                               " rb_no=" + std::to_string(plan->rb_no)
-                         : std::string("host")) +
-                   " scored=" + std::to_string(report->candidates_scored);
-          }
-          handle->tracer->record_instant(0, "autotune", what.c_str());
-        }
-        if (report.has_value()) {
-          std::lock_guard<std::mutex> lock(handle->mutex);
-          ++handle->autotuned;
-        }
+    // cache, so a full warm-up covers both keys a training step uses
+    // (one key when they coincide).
+    const conv::ConvShape keys[] = {shape, conv::backward_data_shape(shape)};
+    const std::size_t num_keys = keys[1] == keys[0] ? 1 : 2;
+    bool built = false;
+    for (std::size_t k = 0; k < num_keys; ++k) {
+      const perf::PlanCache::LookupResult warmed =
+          handle->sw.warm_plan(keys[k]);
+      built |= !warmed.hit;
+      if (handle->tracer != nullptr) {
+        // The plan this key dispatches, or the host route when no plan
+        // is mesh-executable.
+        const perf::CachedPlan& plans = *warmed.entry;
+        const std::string what =
+            keys[k].to_string() + " plan=" +
+            (plans.has_executable() ? plans.best_executable().plan.to_string()
+                                    : std::string("host"));
+        handle->tracer->record_instant(0, "plan", what.c_str());
       }
     }
+    trace_dispatch(handle, built ? "warm" : "warm_cached");
   } catch (const std::exception& e) {
     set_error(handle, e.what());
     return Status::kExecutionFailed;
@@ -488,14 +474,8 @@ Status convolution_plan_warmup(Handle* handle,
 
 Status set_autotune(Handle* handle, bool enable) {
   if (handle == nullptr) return Status::kBadParam;
-  handle->autotune = enable;
+  handle->sw.set_autotune(enable);
   return Status::kSuccess;
-}
-
-std::uint64_t autotuned_shapes(const Handle* handle) {
-  if (handle == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(handle->mutex);
-  return handle->autotuned;
 }
 
 Status get_convolution_estimate(Handle* handle,

@@ -34,9 +34,9 @@
 // cache) is internally guarded; the last_* queries report the most
 // recently *completed* call, which under concurrency is whichever
 // finished last. The configuration calls (set_fault_plan,
-// set_retry_policy, set_event_tracer) reconfigure the execution engine
-// and must not race with in-flight calls on the same handle —
-// configure first, then dispatch. Distinct handles remain fully
+// set_retry_policy, set_event_tracer, set_autotune) reconfigure the
+// execution engine and must not race with in-flight calls on the same
+// handle — configure first, then dispatch. Distinct handles remain fully
 // independent, and the free functions that take no handle
 // (status_string, descriptor setters, get_convolution_output_descriptor)
 // are pure and thread-safe.
@@ -46,7 +46,8 @@
 // result keyed by shape; every subsequent call with that shape
 // dispatches straight from the cache. Cache behaviour is observable via
 // plan_cache_counters() and last_plan_algo(), and — when an
-// EventTracer is attached — as "plan_cache" trace events.
+// EventTracer is attached — as "plan_cache" trace events and, at
+// warm-up, a "plan" event naming each key's dispatched plan.
 
 #include <cstdint>
 
@@ -134,34 +135,31 @@ Status convolution_backward_filter(Handle* handle,
 /// Compile-time plan warm-up: ranks the plans for this convolution
 /// configuration into the handle's shape-keyed cache without counting
 /// as a hit or a miss, so a compiled network's first batch dispatches
-/// warm and serve-time hit rates measure serve traffic only. Emits a
-/// "plan_cache" trace instant ("warm" when an entry was built,
-/// "warm_cached" when the shape was already resident). When autotuning
-/// is enabled (set_autotune), the warm-up additionally tunes both keys
-/// (conv::SwConvolution::autotune_plan) and installs the tuned entries,
-/// emitting an "autotune" trace instant per key ("tune ..." with the
-/// plan the key now dispatches and its register blocking, or
-/// "tune_cached" on repeats).
+/// warm and serve-time hit rates measure serve traffic only. It warms
+/// two keys, the forward shape and the backward-data shape
+/// (conv::backward_data_shape), or one when they coincide. With a
+/// tracer attached it records one "plan" instant per key
+/// ("<shape> plan=<plan>", naming the plan that key dispatches, or
+/// "plan=host" when none is mesh-executable), then one "plan_cache"
+/// instant ("warm" when an entry was built, "warm_cached" when both
+/// keys were already resident).
 Status convolution_plan_warmup(Handle* handle,
                                const TensorDescriptor& x_desc,
                                const FilterDescriptor& w_desc);
 
-/// Enables compile-time autotuning on this handle: each subsequent
-/// convolution_plan_warmup tunes the forward and backward-data keys of
-/// its shape (conv::SwConvolution::autotune_plan). It searches the
-/// schedule-only plan knobs (register blocking, DMA promotion) with the
-/// performance model, then orders the mesh-executable plans by their
-/// exact fault-free simulated launch time, predicted without a launch
-/// (conv::predict_launch), so warm dispatches serve the plan the
-/// simulator runs fastest. Untuned handles keep the model's order.
+/// Sets how this handle orders each shape's mesh-executable plans,
+/// which decides the plan every dispatch of that shape runs (off by
+/// default; conv::SwConvolution::set_autotune). On, each plan-cache
+/// entry is built with its plans sorted by their exact fault-free
+/// simulated launch time, predicted without a launch
+/// (conv::predict_launch), so dispatch serves the plan the simulator
+/// runs fastest. Off, dispatch keeps the performance model's order.
 /// Outputs are unaffected: every plan is bitwise equal to the
-/// reference. Configuration-phase call: do not race with in-flight
-/// convolutions.
+/// reference. Changing the setting drops the handle's cached plans and
+/// zeroes its plan-cache counters. Configuration-phase call: a change
+/// must not race with in-flight convolutions; setting the current
+/// value again is a no-op.
 Status set_autotune(Handle* handle, bool enable);
-
-/// Number of distinct plan keys (forward and backward-data shapes) the
-/// autotuner has tuned on this handle.
-std::uint64_t autotuned_shapes(const Handle* handle);
 
 /// Modeled throughput (Gflop/s, whole chip) for this configuration —
 /// the planning query a framework integration uses for layer timing.

@@ -89,6 +89,25 @@ perf::PlanCache::Builder SwConvolution::cache_builder() const {
         entry.executable.push_back(i);
       }
     }
+    if (autotune_) {
+      // Fastest predicted launch first, the model's order (ascending
+      // index) breaking ties. The sort predicts per comparison instead
+      // of filling a table: the host GEMM's speed depends on where its
+      // per-call buffers land on the heap, and a table here once moved
+      // them enough to slow the host-GEMM-bound train_hier workload
+      // (DESIGN.md §15).
+      const auto seconds = [&](std::size_t idx) {
+        const perf::ConvPlan& plan = entry.ranked[idx].plan;
+        return predict_launch(s, plan, spec_).modeled_seconds(
+            plan.double_buffer);
+      };
+      std::sort(entry.executable.begin(), entry.executable.end(),
+                [&seconds](std::size_t a, std::size_t b) {
+                  const double ta = seconds(a);
+                  const double tb = seconds(b);
+                  return ta < tb || (ta == tb && a < b);
+                });
+    }
     return entry;
   };
 }
@@ -98,11 +117,15 @@ perf::PlanCache::LookupResult SwConvolution::ranked_plans(
   return plan_cache_.lookup(shape, cache_builder());
 }
 
+perf::PlanCache::LookupResult SwConvolution::warm_plan(
+    const ConvShape& shape) {
+  return plan_cache_.warm(shape, cache_builder());
+}
+
 std::size_t SwConvolution::warm_plans(const std::vector<ConvShape>& shapes) {
   std::size_t built = 0;
-  const auto builder = cache_builder();
   for (const ConvShape& shape : shapes) {
-    if (plan_cache_.warm(shape, builder)) ++built;
+    if (!warm_plan(shape).hit) ++built;
   }
   return built;
 }
@@ -123,58 +146,13 @@ perf::PlanChoice SwConvolution::plan_for(const ConvShape& shape,
   return entry->best_executable();
 }
 
-std::optional<perf::AutotuneReport> SwConvolution::tune_key(
-    const ConvShape& shape) {
-  {
-    std::lock_guard<std::mutex> lock(tune_mutex_);
-    if (!tuned_.insert(shape).second) return std::nullopt;  // already tuned
-  }
-  // Counter-neutral base ranking: reuse a cached entry if present, else
-  // warm one in (neither path touches the hit/miss counters, so tuning
-  // during compile keeps serve-time hit rates clean).
-  perf::PlanCache::Entry entry = plan_cache_.peek(shape);
-  if (entry == nullptr) {
-    plan_cache_.warm(shape, cache_builder());
-    entry = plan_cache_.peek(shape);
-  }
-  if (entry == nullptr || entry->ranked.empty()) return std::nullopt;
-
-  perf::AutotuneReport report;
-  perf::CachedPlan tuned;
-  tuned.ranked =
-      perf::ScheduleAutotuner(spec_).tune_ranked(shape, entry->ranked, &report);
-  // Tuning never reorders the ranking and never changes a plan's
-  // mesh-mappability (the tuned knobs are invisible to
-  // check_mesh_compatibility), so the executable indices carry over.
-  // Dispatch then takes them fastest first by predicted simulated time,
-  // the model's order (ascending index) breaking ties. The sort
-  // predicts per comparison instead of filling a table, so tuning
-  // allocates nothing: the host GEMM's speed depends on where its
-  // per-call buffers land on the heap, and a table here moved them
-  // enough to slow the host-GEMM-bound train_hier workload, whose plans
-  // tuning does not change (DESIGN.md §15).
-  tuned.executable = entry->executable;
-  const auto seconds = [&](std::size_t idx) {
-    const perf::ConvPlan& plan = tuned.ranked[idx].plan;
-    return predict_launch(shape, plan, spec_).modeled_seconds(
-        plan.double_buffer);
-  };
-  std::sort(tuned.executable.begin(), tuned.executable.end(),
-            [&seconds](std::size_t a, std::size_t b) {
-              const double ta = seconds(a);
-              const double tb = seconds(b);
-              return ta < tb || (ta == tb && a < b);
-            });
-  if (!tuned.executable.empty()) {
-    report.dispatched_plan = tuned.ranked[tuned.executable.front()].plan;
-  }
-  plan_cache_.install(shape, std::move(tuned));
-  return report;
+void SwConvolution::set_autotune(bool enable) {
+  if (autotune_.exchange(enable) != enable) plan_cache_.clear();
 }
 
-std::array<std::optional<perf::AutotuneReport>, 2>
-SwConvolution::autotune_plan(const ConvShape& shape) {
-  return {tune_key(shape), tune_key(backward_data_shape(shape))};
+std::size_t SwConvolution::autotune_plan(const ConvShape& shape) {
+  set_autotune(true);
+  return warm_plans({shape, backward_data_shape(shape)});
 }
 
 perf::PerfEstimate SwConvolution::estimate(const ConvShape& shape) const {

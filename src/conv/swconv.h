@@ -4,8 +4,8 @@
 // Two clocks (DESIGN.md §5):
 //   * forward()   — functional execution on the simulated mesh, plan
 //                   picked by the performance model (by predicted
-//                   simulated time once autotune_plan tuned the shape),
-//                   output bitwise equal to the naive reference; the
+//                   simulated time when the object tunes), output
+//                   bitwise equal to the naive reference; the
 //                   same launch's LaunchStats come without running it
 //                   from predict_launch. Its LaunchStats are the
 //                   simulator's clock: every DMA request, bus message and
@@ -19,15 +19,13 @@
 // api::Handle holds one SwConvolution, so a handle launches on one
 // executor.
 
-#include <array>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
 
 #include "src/conv/ldm_blocked.h"
 #include "src/conv/shape.h"
-#include "src/perf/autotune.h"
 #include "src/perf/chooser.h"
 #include "src/perf/plan_cache.h"
 #include "src/sim/noc.h"
@@ -59,8 +57,8 @@ class SwConvolution {
       const arch::Sw26010Spec& spec = arch::default_spec());
 
   /// Functional forward on one simulated core group. Overwrites
-  /// `output`. Uses `plan` if given, else the cached model choice
-  /// (adjusted to mesh-divisibility if needed).
+  /// `output`. Uses `plan` if given, else the cached entry's best
+  /// mesh-executable plan (plan_for with require_executable).
   ForwardResult forward(const tensor::Tensor& input,
                         const tensor::Tensor& filter, tensor::Tensor& output,
                         const ConvShape& shape,
@@ -95,41 +93,48 @@ class SwConvolution {
       tensor::Tensor& output, const ConvShape& shape, int num_cgs,
       std::optional<perf::ConvPlan> plan = std::nullopt);
 
-  /// Best plan per the performance model, constrained to plans the mesh
-  /// kernels can execute for this shape. Served from the plan cache:
-  /// the chooser ranks a shape once, repeats are O(1) lookups. Throws
-  /// MeshMappingError when require_executable finds no mesh route.
+  /// The cached entry's first plan, or with `require_executable` its
+  /// first mesh-executable one (see set_autotune for that list's
+  /// order). Served from the plan cache: a shape is ranked once, repeats
+  /// are O(1) lookups. Throws MeshMappingError when require_executable
+  /// finds no mesh route.
   perf::PlanChoice plan_for(const ConvShape& shape,
                             bool require_executable = false) const;
 
-  /// Cached ranked plans for the shape (never null): ranks via the
-  /// chooser on first sight, hits the shape-keyed cache afterwards.
-  /// Thread-safe; LookupResult.hit feeds the observability counters.
+  /// Cached ranked plans for the shape (never null): ranks on first
+  /// sight, hits the shape-keyed cache afterwards. Thread-safe;
+  /// LookupResult.hit feeds the observability counters.
   perf::PlanCache::LookupResult ranked_plans(const ConvShape& shape) const;
 
-  /// Compile-time plan warm-up: ranks each shape into the plan cache
+  /// Compile-time plan warm-up: ranks the shape into the plan cache
   /// without touching the hit/miss counters, so a network's first
   /// training batch dispatches on cache hits and serve-time hit rates
-  /// measure serve traffic only. Returns how many entries were built
-  /// (already-cached shapes are skipped).
+  /// measure serve traffic only. Returns the entry; `hit` is false when
+  /// this call built it.
+  perf::PlanCache::LookupResult warm_plan(const ConvShape& shape);
+
+  /// warm_plan for each shape; returns how many entries were built.
   std::size_t warm_plans(const std::vector<ConvShape>& shapes);
 
-  /// Tunes the shape's forward key and its backward_data_shape key
-  /// (DESIGN.md §15) and installs each tuned entry in the plan cache,
-  /// so every later dispatch of either key serves it. Per key:
-  ///   * the schedule autotuner upgrades each ranked entry in place
-  ///     (`ranked` keeps the model's order; see autotune.h);
-  ///   * the `executable` list is stably sorted by predicted simulated
-  ///     time (predict_launch, LaunchStats::modeled_seconds under the
-  ///     plan's double_buffer), so best_executable() is the plan whose
-  ///     fault-free launch is fastest, the model's order breaking ties.
-  /// Outputs stay bitwise identical whichever plan wins. Counter-neutral
-  /// (peek/warm/install only) and idempotent: a key is tuned at most
-  /// once per SwConvolution. Returns one report per key, [0] forward
-  /// and [1] backward-data, nullopt for a key already tuned (or that
-  /// ranks no plan).
-  std::array<std::optional<perf::AutotuneReport>, 2> autotune_plan(
-      const ConvShape& shape);
+  /// Sets how this object's plan-cache entries order their
+  /// mesh-executable plans, which decides the plan each key dispatches.
+  /// Every entry keeps `ranked` in the performance model's order. Off
+  /// (the default), `executable` follows that order too. On, the entry
+  /// is built with `executable` stably sorted by predicted launch time
+  /// (predict_launch, LaunchStats::modeled_seconds under the plan's
+  /// double_buffer), so best_executable() is the plan whose fault-free
+  /// launch is fastest, the model's order breaking ties. Outputs stay
+  /// bitwise identical whichever plan wins. Changing the setting drops
+  /// every cached entry and zeroes the cache counters (clear_plan_cache),
+  /// so no entry's order depends on when it was set. Configuration-phase
+  /// call: setting the current value again is a no-op, safe next to
+  /// in-flight work; a change must not race with it.
+  void set_autotune(bool enable);
+
+  /// Turns tuning on, then warms the shape's forward key and its
+  /// backward_data_shape key (DESIGN.md §15). Returns how many entries
+  /// were built, as warm_plans does.
+  std::size_t autotune_plan(const ConvShape& shape);
 
   /// Hit/miss/eviction counters of this object's plan cache.
   perf::PlanCacheStats plan_cache_stats() const {
@@ -171,16 +176,16 @@ class SwConvolution {
   // internal mutex; the plan
   // cache locks internally; the attached tracer/injector are themselves
   // thread-safe). The setters (set_fault_injector, set_retry_policy,
-  // set_tracer) are configuration-phase calls and must not race with
-  // in-flight work.
+  // set_tracer, and set_autotune when it changes the setting) are
+  // configuration-phase calls and must not race with in-flight work.
 
  private:
   /// The plan-cache builder closure shared by ranked_plans and
-  /// warm_plans: chooser rank + mesh-executability filter.
+  /// warm_plan: chooser rank, mesh-executability filter and, when the
+  /// object tunes, the sort by predicted launch time. It runs under the
+  /// cache mutex and set_autotune clears the cache after storing the
+  /// flag, so every entry left after a change follows the new setting.
   perf::PlanCache::Builder cache_builder() const;
-
-  /// autotune_plan for one key.
-  std::optional<perf::AutotuneReport> tune_key(const ConvShape& shape);
 
   /// The shared executor, created on first launch. Callers must hold
   /// exec_mutex_ for the whole launch; the method (re)applies the
@@ -193,8 +198,9 @@ class SwConvolution {
   sim::RetryPolicy retry_;
   sim::EventTracer* tracer_ = nullptr;
   mutable perf::PlanCache plan_cache_;
-  std::mutex tune_mutex_;  ///< guards tuned_
-  std::unordered_set<ConvShape, perf::PlanCache::ShapeHash> tuned_;
+  // Atomic: Network::compile sets it on a context that other threads'
+  // compiles and steps may share (always to the value it already has).
+  std::atomic<bool> autotune_{false};
   mutable std::mutex exec_mutex_;  ///< serializes launches on exec_
   mutable std::unique_ptr<sim::MeshExecutor> exec_;
 };

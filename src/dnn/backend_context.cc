@@ -112,10 +112,6 @@ void BackendContext::set_retry_policy(int max_attempts,
         "set_retry_policy");
 }
 
-void BackendContext::set_autotune(bool enable) {
-  api::set_autotune(handle_, enable);
-}
-
 api::PlanCacheCounters BackendContext::plan_cache_counters() const {
   api::PlanCacheCounters counters;
   api::plan_cache_counters(handle_, &counters);
@@ -134,10 +130,6 @@ api::ExecutionRoute BackendContext::last_execution_route() const {
 
 std::string BackendContext::last_error_message() const {
   return api::last_error_message(handle_);
-}
-
-std::uint64_t BackendContext::autotuned_shapes() const {
-  return api::autotuned_shapes(handle_);
 }
 
 BackendContext& bound_or_own(BackendContext* bound,

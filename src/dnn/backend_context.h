@@ -89,18 +89,12 @@ class BackendContext {
   void set_event_tracer(sim::EventTracer* tracer);
   void set_fault_plan(const sim::FaultPlan* plan);
   void set_retry_policy(int max_attempts, std::uint64_t backoff_cycles);
-  /// Compile-time schedule autotuning: when enabled, warm_conv_plan also
-  /// searches the schedule-only plan knobs and installs tuned rankings.
-  void set_autotune(bool enable);
 
   // Observability passthroughs.
   api::PlanCacheCounters plan_cache_counters() const;
   api::FaultCounters fault_counters() const;
   api::ExecutionRoute last_execution_route() const;
   std::string last_error_message() const;
-  /// Distinct plan keys (forward and backward-data shapes) the
-  /// autotuner has tuned on this handle.
-  std::uint64_t autotuned_shapes() const;
 
  private:
   /// Throws BackendError naming `call` unless `status` is kSuccess.

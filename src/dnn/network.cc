@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/api/swdnn_api.h"
 #include "src/dnn/backend_context.h"
 #include "src/sim/trace.h"
 
@@ -59,8 +60,9 @@ const CompiledStats& Network::compile(
   }
 
   // 2. One backend context for every heavy layer: shared if the caller
-  // provides one (data-parallel replicas), else owned. Autotuning is
-  // configured before any plan() so the warm-ups tune as they warm.
+  // provides one (data-parallel replicas), else owned. Tuning is on
+  // before any plan(), so every entry the warm-ups build dispatches its
+  // predicted fastest plan.
   if (options.context != nullptr) {
     context_ = options.context;
   } else {
@@ -69,7 +71,7 @@ const CompiledStats& Network::compile(
   }
   tracer_ = options.tracer;
   if (tracer_ != nullptr) context_->set_event_tracer(tracer_);
-  context_->set_autotune(options.autotune);
+  api::set_autotune(context_->handle(), true);
   for (auto& layer : layers_) layer->bind(context_);
   for (std::size_t i = 0; i < layers_.size(); ++i) layers_[i]->plan(dims[i]);
 
@@ -153,7 +155,6 @@ const CompiledStats& Network::compile(
   stats_.fused_conv_act = graph_.stats().fused_conv_act;
   stats_.fused_fc_act = graph_.stats().fused_fc_act;
   stats_.elided_pads = graph_.stats().elided_pads;
-  stats_.autotuned_shapes = context_->autotuned_shapes();
   compiled_ = true;
   return stats_;
 }

@@ -9,9 +9,10 @@
 //   1. shape inference propagates the input dims through every layer's
 //      infer_shape, catching shape bugs before any math runs;
 //   2. every layer binds to one shared BackendContext and plans
-//      (presizing caches, warming — and, by default, autotuning — the
-//      API plan cache), so a compiled step dispatches its heavy ops on
-//      tuned plan-cache hits from batch one;
+//      (presizing caches, warming the API plan cache); the context's
+//      handle tunes (api::set_autotune: each conv plan-cache entry
+//      orders its mesh plans by predicted launch time), so a compiled
+//      step dispatches its heavy ops on plan-cache hits from batch one;
 //   3. a pass pipeline rewrites the graph: conv/FC + activation pairs
 //      fuse into single nodes that run the activation in place over
 //      the producer's output slot, zero-pad nodes elide their per-step
@@ -55,18 +56,14 @@ struct CompileOptions {
   /// Machine spec for an owned context; ignored when `context` is set.
   /// nullptr = the real SW26010 numbers.
   const arch::Sw26010Spec* spec = nullptr;
-  /// Tracer for per-node "layer" spans, "fusion"/"autotune" pass
-  /// instants, and backend events; also attached to the context.
-  /// nullptr = no tracing.
+  /// Tracer for per-node "layer" spans, "fusion" pass instants, and
+  /// backend events (the warm-up's "plan" instants among them); also
+  /// attached to the context. nullptr = no tracing.
   sim::EventTracer* tracer = nullptr;
   /// Run the graph passes (epilogue fusion, pad elision). false = the
   /// one-node-per-layer baseline: the same kernels, bitwise-identical
   /// results, and still allocation-free in the steady state.
   bool fuse = true;
-  /// Autotune plan schedules (register blocking, DMA promotion) during
-  /// plan warm-up, with the perf model as cost oracle. Schedule-only:
-  /// outputs are unaffected.
-  bool autotune = true;
 };
 
 /// What compile() decided, for observability and tests.
@@ -84,7 +81,6 @@ struct CompiledStats {
   std::size_t fused_conv_act = 0;   ///< conv+activation pairs collapsed
   std::size_t fused_fc_act = 0;     ///< FC+activation pairs collapsed
   std::size_t elided_pads = 0;      ///< zero-pads with pinned slots
-  std::uint64_t autotuned_shapes = 0;  ///< plan keys the autotuner tuned
 };
 
 class Network {

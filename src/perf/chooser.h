@@ -3,12 +3,14 @@
 // strategies according to the performance model for different parameter
 // configurations" (Section VII).
 //
-// The chooser enumerates feasible plans (both loop transformations, a
-// grid of LDM blocking sizes, DMA promotion on/off), scores each with
-// the performance model, and returns the best. Insight from Section IV
-// drives the candidate grid: bB should keep DMA blocks >= 256 B and
-// 128 B-aligned; bCo only matters for the image plan; large No lowers
-// RBW for free.
+// The chooser enumerates feasible plans of three kinds — the image- and
+// batch-size-aware loop transformations (Algorithms 1 and 2) and the
+// filter-grained mesh GEMM — over a grid of LDM blocking sizes, scores
+// each with the performance model, and ranks them best first. DMA
+// promotion and register blocking stay at the plan defaults. Insight
+// from Section IV drives the candidate grid: bB should keep DMA blocks
+// >= 256 B and 128 B-aligned; bCo only matters for the image plan;
+// large No lowers RBW for free.
 
 #include <vector>
 

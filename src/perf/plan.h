@@ -62,9 +62,9 @@ struct ConvPlan {
   // (0 = derive the largest LDM-feasible block). Larger blocks
   // amortize the filter re-read (1/bPx in the cost model) but shrink
   // the LDM contraction chunk and with it the inner-loop length.
-  // An LDM-blocking knob like block_co — part of the plan's numeric
-  // identity (it changes summation grouping), never touched by the
-  // schedule-only autotuner. Ignored by the other kinds.
+  // An LDM-blocking knob like block_co: part of the plan's numeric
+  // identity (it changes summation grouping). Ignored by the other
+  // kinds.
   std::int64_t block_px = 0;
 
   // Register blocking (Section V-B / Eq. 5). rb_b batch elements

@@ -34,6 +34,20 @@ void PlanCache::touch(Slot& slot) const {
   lru_.splice(lru_.begin(), lru_, slot.lru_pos);
 }
 
+PlanCache::Entry PlanCache::insert(const conv::ConvShape& shape,
+                                   const Builder& build) {
+  auto entry = std::make_shared<const CachedPlan>(build(shape));
+  if (table_.size() >= capacity_) {
+    const conv::ConvShape& victim = lru_.back();
+    table_.erase(victim);
+    lru_.pop_back();
+    ++evictions_;
+  }
+  lru_.push_front(shape);
+  table_.emplace(shape, Slot{entry, lru_.begin()});
+  return entry;
+}
+
 PlanCache::LookupResult PlanCache::lookup(const conv::ConvShape& shape,
                                           const Builder& build) {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -48,55 +62,18 @@ PlanCache::LookupResult PlanCache::lookup(const conv::ConvShape& shape,
   // must rank once, and ranking (hundreds of closed-form model
   // evaluations) is cheap next to a simulated launch.
   ++misses_;
-  auto entry = std::make_shared<const CachedPlan>(build(shape));
-
-  if (table_.size() >= capacity_) {
-    const conv::ConvShape& victim = lru_.back();
-    table_.erase(victim);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.push_front(shape);
-  table_.emplace(shape, Slot{entry, lru_.begin()});
-  return LookupResult{std::move(entry), /*hit=*/false};
+  return LookupResult{insert(shape, build), /*hit=*/false};
 }
 
-bool PlanCache::warm(const conv::ConvShape& shape, const Builder& build) {
+PlanCache::LookupResult PlanCache::warm(const conv::ConvShape& shape,
+                                        const Builder& build) {
   std::unique_lock<std::mutex> lock(mutex_);
   auto it = table_.find(shape);
   if (it != table_.end()) {
     touch(it->second);
-    return false;
+    return LookupResult{it->second.entry, /*hit=*/true};
   }
-  auto entry = std::make_shared<const CachedPlan>(build(shape));
-  if (table_.size() >= capacity_) {
-    const conv::ConvShape& victim = lru_.back();
-    table_.erase(victim);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.push_front(shape);
-  table_.emplace(shape, Slot{std::move(entry), lru_.begin()});
-  return true;
-}
-
-void PlanCache::install(const conv::ConvShape& shape, CachedPlan entry) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  auto shared = std::make_shared<const CachedPlan>(std::move(entry));
-  auto it = table_.find(shape);
-  if (it != table_.end()) {
-    it->second.entry = std::move(shared);
-    touch(it->second);
-    return;
-  }
-  if (table_.size() >= capacity_) {
-    const conv::ConvShape& victim = lru_.back();
-    table_.erase(victim);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.push_front(shape);
-  table_.emplace(shape, Slot{std::move(shared), lru_.begin()});
+  return LookupResult{insert(shape, build), /*hit=*/false};
 }
 
 PlanCache::Entry PlanCache::peek(const conv::ConvShape& shape) const {

@@ -31,14 +31,17 @@
 
 namespace swdnn::perf {
 
-/// The memoized result of one PlanChooser::rank call.
+/// The memoized result of one PlanChooser::rank call. Built once by
+/// the owner's builder and never rewritten.
 struct CachedPlan {
   /// All feasible plans for the shape, best first (rank order).
   std::vector<PlanChoice> ranked;
 
   /// Indices into `ranked` of the plans the level-1 mesh kernels can
-  /// execute for this shape, still best first. Empty means the shape
-  /// has no mesh route (host fallback territory).
+  /// execute for this shape, in dispatch order: rank order, or the
+  /// order the builder chose (conv::SwConvolution::set_autotune sorts
+  /// by predicted launch time). Empty means the shape has no mesh route
+  /// (host fallback territory).
   std::vector<std::size_t> executable;
 
   bool has_executable() const { return !executable.empty(); }
@@ -78,37 +81,31 @@ class PlanCache {
   /// the hit/miss counters or the LRU order.
   Entry peek(const conv::ConvShape& shape) const;
 
-  /// Counter-neutral pre-population for compile-time warm-up: builds
-  /// and inserts the entry if absent, touching neither hits_ nor
-  /// misses_, so the hit-rate observed at serve time reflects serve
-  /// traffic only. Returns true if an entry was built, false if the
-  /// shape was already cached.
-  bool warm(const conv::ConvShape& shape, const Builder& build);
-
-  /// Counter-neutral overwrite: replaces (or inserts) the entry for
-  /// `shape` with an externally built one — the schedule autotuner's
-  /// installation point, so subsequent lookups serve tuned plans as
-  /// ordinary hits. Touches neither hits_ nor misses_.
-  void install(const conv::ConvShape& shape, CachedPlan entry);
+  /// Counter-neutral lookup for compile-time warm-up: builds and
+  /// inserts the entry if absent, touching neither hits_ nor misses_,
+  /// so the hit-rate observed at serve time reflects serve traffic
+  /// only. `hit` is false when this call built the entry.
+  LookupResult warm(const conv::ConvShape& shape, const Builder& build);
 
   PlanCacheStats stats() const;
   void clear();
 
   static constexpr std::size_t kDefaultCapacity = 1024;
 
-  /// Hash usable by any shape-keyed table (the autotuner's tuned-shape
-  /// set reuses it).
+ private:
   struct ShapeHash {
     std::size_t operator()(const conv::ConvShape& s) const;
   };
 
- private:
   struct Slot {
     Entry entry;
     std::list<conv::ConvShape>::iterator lru_pos;
   };
 
   void touch(Slot& slot) const;  // move to LRU front; mutex must be held
+  /// Builds and inserts the absent `shape`, evicting the LRU entry at
+  /// capacity; mutex must be held.
+  Entry insert(const conv::ConvShape& shape, const Builder& build);
 
   mutable std::mutex mutex_;
   std::size_t capacity_;

@@ -258,35 +258,68 @@ TEST_F(ApiPlanCacheTest, ObservabilityArgumentsAreValidated) {
   EXPECT_EQ(last_plan_algo(nullptr), PlanAlgo::kNone);
 }
 
-TEST(ApiAutotune, TraceNamesThePlanEachKeyDispatches) {
-  // conv_sweep's Conv(B=32, 64->64, 6x6, 3x3) on the 8x8 mesh: the
-  // model ranks batch(bCo=1) first for the backward-data key, but the
-  // tuned key dispatches fgrain(bPx=0), the predicted fastest launch.
-  // The per-key instant names the dispatched plan, not the model's.
+/// Warms conv_sweep's Conv(B=32, 64->64, in=6x6, 3x3) on the 8x8 mesh
+/// and returns the names of the warm-up's "plan" instants.
+std::vector<std::string> warmup_plan_instants(bool tune) {
   Handle* handle = nullptr;
-  ASSERT_EQ(create(&handle), Status::kSuccess);
+  EXPECT_EQ(create(&handle), Status::kSuccess);
   sim::EventTracer tracer;
-  ASSERT_EQ(set_event_tracer(handle, &tracer), Status::kSuccess);
-  ASSERT_EQ(set_autotune(handle, true), Status::kSuccess);
+  EXPECT_EQ(set_event_tracer(handle, &tracer), Status::kSuccess);
+  EXPECT_EQ(set_autotune(handle, tune), Status::kSuccess);
   TensorDescriptor x_desc;
   FilterDescriptor w_desc;
-  ASSERT_EQ(set_tensor4d_descriptor(x_desc, 6, 6, 64, 32), Status::kSuccess);
-  ASSERT_EQ(set_filter_descriptor(w_desc, 3, 3, 64, 64), Status::kSuccess);
-  ASSERT_EQ(convolution_plan_warmup(handle, x_desc, w_desc),
+  EXPECT_EQ(set_tensor4d_descriptor(x_desc, 6, 6, 64, 32), Status::kSuccess);
+  EXPECT_EQ(set_filter_descriptor(w_desc, 3, 3, 64, 64), Status::kSuccess);
+  EXPECT_EQ(convolution_plan_warmup(handle, x_desc, w_desc),
             Status::kSuccess);
-  std::vector<std::string> tuned;
+  std::vector<std::string> planned;
   for (const auto& e : tracer.events()) {
-    if (e.category == "autotune") tuned.push_back(e.name);
+    if (e.category == "plan") planned.push_back(e.name);
   }
-  // One instant per key: forward, then backward-data.
-  ASSERT_EQ(tuned.size(), 2u);
-  EXPECT_NE(tuned[0].find("in=6x6"), std::string::npos) << tuned[0];
-  EXPECT_NE(tuned[1].find("in=8x8"), std::string::npos) << tuned[1];
-  for (const std::string& name : tuned) {
-    EXPECT_NE(name.find(" plan=fgrain(bPx=0) "), std::string::npos) << name;
-  }
-  EXPECT_EQ(autotuned_shapes(handle), 2u);
   EXPECT_EQ(destroy(handle), Status::kSuccess);
+  return planned;
+}
+
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+TEST(ApiAutotune, TraceNamesThePlanEachKeyDispatches) {
+  // The model ranks batch(bCo=1) first for the backward-data key, but
+  // a tuning handle dispatches fgrain(bPx=0), the predicted fastest
+  // launch, for both keys. The per-key instant names the dispatched
+  // plan, not the model's.
+  const std::vector<std::string> planned = warmup_plan_instants(true);
+  // One instant per key: forward, then backward-data.
+  ASSERT_EQ(planned.size(), 2u);
+  EXPECT_NE(planned[0].find("in=6x6"), std::string::npos) << planned[0];
+  EXPECT_NE(planned[1].find("in=8x8"), std::string::npos) << planned[1];
+  for (const std::string& name : planned) {
+    EXPECT_TRUE(ends_with(name, " plan=fgrain(bPx=0)")) << name;
+  }
+}
+
+TEST(ApiAutotune, TraceNamesTheModelPlanOnAHandleThatDoesNotTune) {
+  const std::vector<std::string> planned = warmup_plan_instants(false);
+  ASSERT_EQ(planned.size(), 2u);
+  EXPECT_TRUE(ends_with(planned[0], " plan=img(bB=32,bCo=4)")) << planned[0];
+  EXPECT_TRUE(ends_with(planned[1], " plan=batch(bCo=1)")) << planned[1];
+}
+
+TEST_F(ApiPlanCacheTest, WarmupTraceNamesTheHostRouteForAnUnmappableShape) {
+  // Ni=3 and No=4096 leave no mesh-executable plan on the 2x2 mesh.
+  const Problem p(conv::ConvShape::from_output(2, 3, 4096, 3, 3, 2, 2));
+  sim::EventTracer tracer;
+  ASSERT_EQ(set_event_tracer(handle_, &tracer), Status::kSuccess);
+  ASSERT_EQ(convolution_plan_warmup(handle_, p.x_desc, p.w_desc),
+            Status::kSuccess);
+  std::vector<std::string> planned;
+  for (const auto& e : tracer.events()) {
+    if (e.category == "plan") planned.push_back(e.name);
+  }
+  ASSERT_EQ(planned.size(), 2u);
+  EXPECT_TRUE(ends_with(planned[0], " plan=host")) << planned[0];
 }
 
 TEST(PlanAlgoNames, AreDistinctAndStable) {

@@ -3,7 +3,8 @@
 // small-channel / large-filter shapes the incumbents cannot map, a mesh
 // route for every small stride-1 shape, multi-CG partitioning, the
 // backward paths that ride on the forward kernels, the refuse-to-map ->
-// host fallback, and autotune's ranking by predicted simulated time.
+// host fallback, and a tuning object's ranking by predicted simulated
+// time.
 
 #include <gtest/gtest.h>
 
@@ -176,6 +177,41 @@ double predicted_seconds(const ConvShape& key, const perf::ConvPlan& plan) {
       .modeled_seconds(plan.double_buffer);
 }
 
+/// The API descriptors of `shape`: input, filter and output.
+struct Descriptors {
+  explicit Descriptors(const ConvShape& shape) {
+    api::set_tensor4d_descriptor(x, shape.ri, shape.ci, shape.ni,
+                                 shape.batch);
+    api::set_filter_descriptor(w, shape.kr, shape.kc, shape.ni, shape.no);
+    api::get_convolution_output_descriptor(x, w, y);
+  }
+  api::TensorDescriptor x, y;
+  api::FilterDescriptor w;
+};
+
+// conv_sweep's backward-data key: the model ranks batch(bCo=1) first,
+// and fgrain(bPx=0) has the lowest predicted launch time (380 against
+// 7,691 kcycles).
+const ConvShape kSweepBackwardKey = backward_data_shape(kSweepShapes[0]);
+
+/// The mesh-executable plan of `key` with the lowest predicted launch
+/// time, the model's order breaking ties, found without a tuning
+/// object.
+std::string predicted_fastest(const ConvShape& key) {
+  const SwConvolution model;
+  const perf::CachedPlan& entry = *model.ranked_plans(key).entry;
+  std::string best;
+  double best_seconds = 0;
+  for (const std::size_t idx : entry.executable) {
+    const double t = predicted_seconds(key, entry.ranked[idx].plan);
+    if (best.empty() || t < best_seconds) {
+      best = entry.ranked[idx].plan.to_string();
+      best_seconds = t;
+    }
+  }
+  return best;
+}
+
 TEST(Multigrain, AutotuneDispatchesThePredictedFastestPlan) {
   for (const ConvShape& shape : kSweepShapes) {
     SwConvolution sw;
@@ -202,32 +238,124 @@ TEST(Multigrain, AutotuneDispatchesThePredictedFastestPlan) {
 
 TEST(Multigrain, AutotuneTunesBothKeysOnce) {
   const ConvShape shape = ConvShape::from_output(8, 32, 32, 6, 6, 3, 3);
+  const ConvShape backward = backward_data_shape(shape);
   SwConvolution sw;
-  const auto first = sw.autotune_plan(shape);
-  ASSERT_TRUE(first[0].has_value());
-  ASSERT_TRUE(first[1].has_value());
-  EXPECT_EQ(first[0]->shape, shape);
-  EXPECT_EQ(first[1]->shape, backward_data_shape(shape));
-  // Repeats, and the backward key met later as a forward key, do no
-  // work.
-  for (const auto& report : sw.autotune_plan(shape)) EXPECT_FALSE(report);
-  EXPECT_FALSE(sw.autotune_plan(backward_data_shape(shape))[0]);
-  // Tuning is counter-neutral at the plan cache.
+  // One call turns tuning on and builds both keys.
+  EXPECT_EQ(sw.autotune_plan(shape), 2u);
+  // Repeats build nothing; the backward key met later as a forward key
+  // builds only its own backward-data key.
+  EXPECT_EQ(sw.autotune_plan(shape), 0u);
+  EXPECT_EQ(sw.autotune_plan(backward), 1u);
+  // Warming is counter-neutral at the plan cache.
   EXPECT_EQ(sw.plan_cache_stats().hits, 0u);
   EXPECT_EQ(sw.plan_cache_stats().misses, 0u);
-  // Each report names the plan its key now dispatches.
-  for (const auto& report : first) {
-    ASSERT_TRUE(report->dispatched_plan.has_value());
-    EXPECT_EQ(report->dispatched_plan->to_string(),
-              sw.plan_for(report->shape, true).plan.to_string());
-  }
+  EXPECT_EQ(sw.plan_cache_stats().entries, 3u);
+  // Tuning is on for keys met later at dispatch too.
+  EXPECT_EQ(sw.plan_for(kSweepBackwardKey, true).plan.to_string(),
+            "fgrain(bPx=0)");
 
-  // A 1x1 shape with Ni == No is its own backward-data key: one report.
+  // A 1x1 shape with Ni == No is its own backward-data key: one entry.
   const ConvShape own_twin = ConvShape::from_output(8, 16, 16, 4, 4, 1, 1);
   ASSERT_EQ(backward_data_shape(own_twin), own_twin);
-  const auto twin = sw.autotune_plan(own_twin);
-  EXPECT_TRUE(twin[0].has_value());
-  EXPECT_FALSE(twin[1].has_value());
+  EXPECT_EQ(sw.autotune_plan(own_twin), 1u);
+}
+
+TEST(Multigrain, TuningRanksAKeyFirstMetAtDispatch) {
+  ASSERT_EQ(predicted_fastest(kSweepBackwardKey), "fgrain(bPx=0)");
+  SwConvolution model;
+  EXPECT_EQ(model.plan_for(kSweepBackwardKey, true).plan.to_string(),
+            "batch(bCo=1)");
+  // No warm-up: the dispatch's own lookup builds the entry.
+  SwConvolution tuned;
+  tuned.set_autotune(true);
+  EXPECT_EQ(tuned.plan_for(kSweepBackwardKey, true).plan.to_string(),
+            "fgrain(bPx=0)");
+
+  // Through the API: a tuning handle's first backward-data call of the
+  // shape runs the filter-grained plan.
+  const ConvShape& shape = kSweepShapes[0];
+  Problem p(shape);
+  tensor::Tensor d_out = make_output(shape);
+  util::Rng(7).fill_uniform(d_out.data(), -1, 1);
+  tensor::Tensor expected = make_input(shape);
+  reference_backward_data(d_out, p.w, expected, shape);
+  api::Handle* handle = nullptr;
+  ASSERT_EQ(api::create(&handle), api::Status::kSuccess);
+  ASSERT_EQ(api::set_autotune(handle, true), api::Status::kSuccess);
+  const Descriptors d(shape);
+  tensor::Tensor d_in = make_input(shape);
+  ASSERT_EQ(api::convolution_backward_data(handle, d.w, p.w.data().data(),
+                                           d.y, d_out.data().data(), d.x,
+                                           d_in.data().data()),
+            api::Status::kSuccess);
+  EXPECT_EQ(api::last_plan_algo(handle), api::PlanAlgo::kFilterGrained);
+  EXPECT_LE(expected.max_abs_diff(d_in), 1e-11);
+  EXPECT_EQ(api::destroy(handle), api::Status::kSuccess);
+}
+
+TEST(Multigrain, AnEvictedTunedKeyIsRebuiltInPredictedOrder) {
+  SwConvolution sw;
+  sw.autotune_plan(kSweepShapes[0]);
+  ASSERT_EQ(sw.plan_for(kSweepBackwardKey, true).plan.to_string(),
+            "fgrain(bPx=0)");
+  // Dispatch lookups of more small FC-like shapes than the cache holds
+  // evict both tuned keys.
+  std::size_t others = 0;
+  for (std::int64_t ni = 1; others < perf::PlanCache::kDefaultCapacity + 2;
+       ++ni) {
+    for (std::int64_t no = 1; no <= 40; ++no, ++others) {
+      sw.ranked_plans(ConvShape::from_output(1, ni, no, 1, 1, 1, 1));
+    }
+  }
+  ASSERT_GE(sw.plan_cache_stats().evictions, 2u);
+  // The next dispatch rebuilds the key, still in predicted order.
+  const perf::PlanCache::LookupResult rebuilt =
+      sw.ranked_plans(kSweepBackwardKey);
+  EXPECT_FALSE(rebuilt.hit);
+  EXPECT_EQ(rebuilt.entry->best_executable().plan.to_string(),
+            "fgrain(bPx=0)");
+  // And tuning the shape again keeps it so.
+  sw.autotune_plan(kSweepShapes[0]);
+  EXPECT_EQ(sw.plan_for(kSweepBackwardKey, true).plan.to_string(),
+            "fgrain(bPx=0)");
+}
+
+TEST(Multigrain, TurningTuningOnReordersCachedEntries) {
+  SwConvolution sw;
+  EXPECT_EQ(sw.plan_for(kSweepBackwardKey, true).plan.to_string(),
+            "batch(bCo=1)");
+  sw.set_autotune(true);
+  EXPECT_EQ(sw.plan_for(kSweepBackwardKey, true).plan.to_string(),
+            "fgrain(bPx=0)");
+  sw.set_autotune(false);
+  EXPECT_EQ(sw.plan_for(kSweepBackwardKey, true).plan.to_string(),
+            "batch(bCo=1)");
+
+  // Through the API, on a shape small enough to launch both plans: a
+  // handle that has dispatched in the model's order dispatches the
+  // predicted fastest plan once it tunes, with the same output bits.
+  // On the 2x2 mesh the model ranks batch(bCo=1) first.
+  arch::Sw26010Spec spec = arch::default_spec();
+  spec.mesh_rows = 2;
+  spec.mesh_cols = 2;
+  const ConvShape shape = ConvShape::from_output(2, 4, 4, 2, 2, 3, 3);
+  Problem p(shape);
+  api::Handle* handle = nullptr;
+  ASSERT_EQ(api::create(&handle, &spec), api::Status::kSuccess);
+  const Descriptors d(shape);
+  const auto forward = [&] {
+    tensor::Tensor y = make_output(shape);
+    EXPECT_EQ(api::convolution_forward(handle, d.x, p.in.data().data(), d.w,
+                                       p.w.data().data(), d.y,
+                                       y.data().data()),
+              api::Status::kSuccess);
+    EXPECT_EQ(p.reference.max_abs_diff(y), 0.0);
+    return api::last_plan_algo(handle);
+  };
+  EXPECT_EQ(forward(), api::PlanAlgo::kBatchSizeAware);
+  ASSERT_EQ(api::set_autotune(handle, true), api::Status::kSuccess);
+  EXPECT_EQ(forward(), api::PlanAlgo::kFilterGrained);
+  EXPECT_EQ(api::destroy(handle), api::Status::kSuccess);
 }
 
 TEST(Multigrain, AutotuneKeepsTheRankingAndTheUntunedOrder) {

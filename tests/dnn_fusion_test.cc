@@ -249,7 +249,7 @@ TEST(DnnFusion, PassesEmitFusionAndAutotuneTraceInstants) {
   options.tracer = &tracer;
   net.compile({8, 8, 2, 3}, options);
 
-  bool saw_fuse = false, saw_elide = false, saw_autotune = false;
+  bool saw_fuse = false, saw_elide = false, saw_plan = false;
   for (const sim::TraceEvent& event : tracer.events()) {
     if (event.category == "fusion") {
       if (event.name.find("fuse conv#1+relu#2") != std::string::npos) {
@@ -259,15 +259,15 @@ TEST(DnnFusion, PassesEmitFusionAndAutotuneTraceInstants) {
         saw_elide = true;
       }
     }
-    if (event.category == "autotune" &&
-        event.name.find("tune") != std::string::npos) {
-      saw_autotune = true;
+    // The tuning context's warm-up names each key's dispatched plan.
+    if (event.category == "plan" &&
+        event.name.find(" plan=") != std::string::npos) {
+      saw_plan = true;
     }
   }
   EXPECT_TRUE(saw_fuse);
   EXPECT_TRUE(saw_elide);
-  EXPECT_TRUE(saw_autotune);
-  EXPECT_GT(net.compiled_stats().autotuned_shapes, 0u);
+  EXPECT_TRUE(saw_plan);
 }
 
 TEST(DnnFusion, TraceJsonEscapesPassAndNodeNames) {
@@ -276,12 +276,12 @@ TEST(DnnFusion, TraceJsonEscapesPassAndNodeNames) {
   // must come out escaped — a raw quote would corrupt the document.
   sim::EventTracer tracer;
   tracer.record_instant(0, "fusion", "fuse conv\"quoted\"#0+relu\\bs#1");
-  tracer.record_instant(0, "autotune", "tune shape\tB=4\nrb_b=16");
+  tracer.record_instant(0, "plan", "Conv(B=4\tNi=2)\nplan=host");
   const std::string json = tracer.to_chrome_json(1.5);
   EXPECT_NE(json.find("fuse conv\\\"quoted\\\"#0+relu\\\\bs#1"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("tune shape\\tB=4\\nrb_b=16"), std::string::npos)
+  EXPECT_NE(json.find("Conv(B=4\\tNi=2)\\nplan=host"), std::string::npos)
       << json;
   // No raw (unescaped) tab/newline survives inside the document.
   EXPECT_EQ(json.find('\t'), std::string::npos);
